@@ -6,27 +6,26 @@
 /// The paper's § III-A measures MPI overheads and § III-B a
 /// single-node application; a production weather model combines them.
 /// This header does exactly that on the library's own substrates: the
-/// grid is split into y-slabs across mpisim ranks, each step exchanges
-/// halo rows (width 1, twice per RHS evaluation - once for the
-/// prognostic fields, once for the derived zeta/KE/Laplacian fields
-/// that the tendency stencils read at +-1), and the physics is the
-/// *same arithmetic in the same order* as the serial rhs_evaluator -
-/// tests/swm_distributed_test pins the two trajectories bit-for-bit at
-/// Float64.
+/// grid is split into y-slabs across mpisim ranks, and each rank runs
+/// the serial model's own physics on its slab - the five row-range
+/// passes of rhs_evaluator<T, slab<T>> and the fused stage-combine and
+/// RK4 sweeps of timestep.hpp. The only code here is the decomposition:
+/// which rows a rank owns, and the two halo exchanges per RHS
+/// evaluation (the prognostic u,v,eta before the vorticity/KE and
+/// Laplacian passes, the derived zeta/KE/Laplacian fields before the
+/// tendency passes, which read them at j±1). tests/swm_distributed_test
+/// pins the trajectories bit-for-bit against the serial model.
 ///
-/// Halo engines (swm/halo.hpp, selected by set_halo_mode): the default
-/// aggregated_overlap path packs all fields of a phase into one
-/// message per neighbour and computes the halo-independent interior
-/// rows while the payloads are in flight; halo_mode::per_field keeps
-/// the legacy one-message-per-row-per-field exchange as the
-/// bit-equality oracle. All modes produce bit-identical trajectories
-/// (tests/swm_halo_test pins this); they differ only in message count
-/// and virtual time. docs/COMM.md has the full story.
+/// Halos move through the packed halo_exchanger (swm/halo.hpp): one
+/// message per neighbour per phase, with the halo-independent interior
+/// rows computed while the payloads are in flight and the boundary
+/// rows after finish(). docs/COMM.md has the full story.
 ///
 /// Restrictions: every rank's slab must be at least 2 rows tall
 /// (ny / ranks >= 2; uneven decompositions spread the remainder over
-/// the first ny % ranks ranks); standard or compensated integration
-/// (mixed precision is a single-rank feature).
+/// the first ny % ranks ranks); periodic boundaries and square cells
+/// (rhs_evaluator checks dx == dy); standard or compensated
+/// integration (mixed precision is a single-rank feature).
 
 #include <vector>
 
@@ -42,7 +41,6 @@
 #include "swm/params.hpp"
 #include "swm/perfmodel.hpp"
 #include "swm/rhs.hpp"
-#include "swm/tags.hpp"
 #include "swm/timestep.hpp"
 
 namespace tfx::swm {
@@ -68,72 +66,33 @@ class distributed_model {
  public:
   distributed_model(mpisim::communicator& comm, swm_params params,
                     integration_scheme scheme = integration_scheme::standard)
-      : comm_(comm), params_(params), scheme_(scheme),
-        coeffs_(coefficients<T>::make(params)) {
-    TFX_EXPECTS(params.bc == boundary::periodic &&
-                "distributed_model supports periodic boundaries");
-    TFX_EXPECTS(params.ny / comm.size() >= 2 &&
-                "every rank needs a slab at least 2 rows tall");
-    local_ny_ = slab_rows(params.ny, comm.size(), comm.rank());
-    j0_ = slab_offset(params.ny, comm.size(), comm.rank());
-
-    const int nx = params.nx;
-    prog_ = slab_state<T>(nx, local_ny_);
-    comp_ = slab_state<T>(nx, local_ny_);
-    stage_ = slab_state<T>(nx, local_ny_);
-    zeta_ = slab<T>(nx, local_ny_);
-    ke_ = slab<T>(nx, local_ny_);
-    lap_u_ = slab<T>(nx, local_ny_);
-    lap_v_ = slab<T>(nx, local_ny_);
-    for (auto* k : {&k1_, &k2_, &k3_, &k4_}) {
-      k->u = slab<T>(nx, local_ny_);
-      k->v = slab<T>(nx, local_ny_);
-      k->eta = slab<T>(nx, local_ny_);
-    }
-    inc_ = slab_state<T>(nx, local_ny_);
+      : comm_(comm), params_(checked(params, comm.size())), scheme_(scheme),
+        local_ny_(slab_rows(params.ny, comm.size(), comm.rank())),
+        j0_(slab_offset(params.ny, comm.size(), comm.rank())),
+        rhs_(params, j0_, local_ny_),
+        halo_(comm, params.nx),
+        prog_(params.nx, local_ny_),
+        comp_(params.nx, local_ny_),
+        stage_(params.nx, local_ny_),
+        k1_(params.nx, local_ny_),
+        k2_(params.nx, local_ny_),
+        k3_(params.nx, local_ny_),
+        k4_(params.nx, local_ny_) {
     prog_.fill(T{});
     comp_.fill(T{});
-    halo_ = halo_exchanger<T>(comm, nx);
-
-    const double dt = params.dt();
-    const double dy = params.dy();
-    const double s = coeffs_.scale;
-    dt_cor_u_.resize(static_cast<std::size_t>(local_ny_));
-    dt_cor_v_.resize(static_cast<std::size_t>(local_ny_));
-    wind_u_.resize(static_cast<std::size_t>(local_ny_));
-    for (int j = 0; j < local_ny_; ++j) {
-      const int gj = j0_ + j;
-      const double y_center = (gj + 0.5) * dy - 0.5 * params.Ly;
-      const double y_face = gj * dy - 0.5 * params.Ly;
-      dt_cor_u_[static_cast<std::size_t>(j)] = T(
-          dt * (params.coriolis_f0 + params.coriolis_beta * y_center));
-      dt_cor_v_[static_cast<std::size_t>(j)] =
-          T(dt * (params.coriolis_f0 + params.coriolis_beta * y_face));
-      wind_u_[static_cast<std::size_t>(j)] =
-          T(-dt * s * params.wind_stress / (params.rho * params.depth) *
-            std::cos(2.0 * M_PI * (gj + 0.5) / params.ny));
-    }
   }
 
   [[nodiscard]] int local_ny() const { return local_ny_; }
   [[nodiscard]] int global_j0() const { return j0_; }
   [[nodiscard]] const swm_params& params() const { return params_; }
 
-  /// Select the halo engine for subsequent steps (not mid-step). All
-  /// modes are bit-identical in the produced trajectory; per_field is
-  /// the legacy oracle, aggregated_overlap (the default) the fast one.
-  void set_halo_mode(halo_mode mode) { mode_ = mode; }
-  [[nodiscard]] halo_mode mode() const { return mode_; }
-
   /// Charge `seconds` of modeled compute per RHS evaluation onto the
   /// rank's virtual clock, split across the two exchange windows by
   /// split_rhs_compute. 0 (the default) keeps the step loop's virtual
-  /// time comm-only, exactly as before. With a charge set, the
-  /// aggregated_overlap engine pays the interior share while the halo
-  /// payloads are in flight - which is what makes overlap visible in
-  /// virtual time (bench/ablation_halo prices it).
+  /// time comm-only. With a charge set, the interior share is paid
+  /// while the halo payloads are in flight - which is what makes
+  /// overlap visible in virtual time (bench/ablation_halo prices it).
   void set_modeled_rhs_seconds(double seconds) {
-    modeled_rhs_seconds_ = seconds;
     rhs_split_ = split_rhs_compute(seconds, local_ny_);
   }
 
@@ -197,38 +156,27 @@ class distributed_model {
   /// the span closes during unwinding too, keeping B/E pairs balanced
   /// when a fault plane kills the step mid-exchange.
   void step() {
-    obs_halo_bytes_ = 0;
-    obs_halo_msgs_ = 0;
+    const std::uint64_t msgs0 = halo_.messages_sent();
+    const std::uint64_t bytes0 = halo_.bytes_sent();
     const obs::scoped_vspan span(
         obs::domain::swm, static_cast<std::uint16_t>(comm_.rank()),
         "swm.step", [this] { return comm_.now(); },
         static_cast<std::uint64_t>(steps_));
+    const std::size_t cells = prog_.eta.interior().size();
     const T half = T(0.5);
     const T one = T(1);
     eval_rhs(prog_, k1_);
-    combine_stage(prog_, k1_, half);
+    fused_stage_combine_range(stage_, prog_, k1_, half, 0, cells);
     eval_rhs(stage_, k2_);
-    combine_stage(prog_, k2_, half);
+    fused_stage_combine_range(stage_, prog_, k2_, half, 0, cells);
     eval_rhs(stage_, k3_);
-    combine_stage(prog_, k3_, one);
+    fused_stage_combine_range(stage_, prog_, k3_, one, 0, cells);
     eval_rhs(stage_, k4_);
-
-    rk4_combine(inc_.u, k1_.u, k2_.u, k3_.u, k4_.u);
-    rk4_combine(inc_.v, k1_.v, k2_.v, k3_.v, k4_.v);
-    rk4_combine(inc_.eta, k1_.eta, k2_.eta, k3_.eta, k4_.eta);
-
-    if (scheme_ == integration_scheme::compensated) {
-      apply_comp(prog_.u, inc_.u, comp_.u);
-      apply_comp(prog_.v, inc_.v, comp_.v);
-      apply_comp(prog_.eta, inc_.eta, comp_.eta);
-    } else {
-      apply_plain(prog_.u, inc_.u);
-      apply_plain(prog_.v, inc_.v);
-      apply_plain(prog_.eta, inc_.eta);
-    }
+    fused_rk4_apply_range(prog_, comp_, k1_, k2_, k3_, k4_, scheme_, 0,
+                          cells);
     ++steps_;
     if (health_every_ > 0 && steps_ % health_every_ == 0) check_health();
-    emit_step_obs();
+    emit_step_obs(halo_.messages_sent() - msgs0, halo_.bytes_sent() - bytes0);
   }
 
   void run(int steps) {
@@ -312,7 +260,7 @@ class distributed_model {
                           std::abs(static_cast<double>(prog_.v(i, j)))});
       }
     }
-    local /= coeffs_.scale;
+    local /= rhs_.coeffs().scale;
     std::vector<double> in{local}, out{0.0};
     mpisim::allreduce(comm_, std::span<const double>(in),
                       std::span<double>(out), mpisim::ops::max{},
@@ -323,207 +271,50 @@ class distributed_model {
  private:
   using engine_phase = typename halo_exchanger<T>::phase;
 
-  /// The same five passes as rhs_evaluator::operator(), on slabs, with
-  /// two halo-exchange phases. Formulas live in the rhs_*_rows helpers
-  /// and must stay textually in sync with rhs.hpp (the bit-equality
-  /// test enforces it). Under aggregated_overlap the interior rows
-  /// (1..local_ny-2) of each window run while the packed halos are in
-  /// flight and the boundary rows (0 and local_ny-1) after finish();
-  /// per-point arithmetic and inputs are unchanged, so the reordering
+  static const swm_params& checked(const swm_params& p, int ranks) {
+    TFX_EXPECTS(p.bc == boundary::periodic &&
+                "distributed_model supports periodic boundaries");
+    TFX_EXPECTS(p.ny / ranks >= 2 &&
+                "every rank needs a slab at least 2 rows tall");
+    return p;
+  }
+
+  /// rhs_evaluator::operator()'s five passes on the slab, around the
+  /// two halo phases: each pass group runs its interior rows
+  /// (1..local_ny-2, which read no halo) while the packed halos are in
+  /// flight and its boundary rows (0 and local_ny-1) after finish().
+  /// Per-point arithmetic and inputs are unchanged, so the reordering
   /// is bit-invisible.
-  void eval_rhs(slab_state<T>& st, slab_state<T>& out) {
+  void eval_rhs(slab_state<T>& st, tendencies<T>& out) {
     const int nyl = local_ny_;
-    auto& U = st.u;
-    auto& V = st.v;
-    auto& H = st.eta;
-    const bool overlap = mode_ == halo_mode::aggregated_overlap;
+    auto prognostic_passes = [&](int jb, int je) {
+      rhs_.pass_vorticity_ke(st, jb, je);
+      rhs_.pass_laplacians(st, jb, je);
+    };
+    // The continuity pass needs only prognostic halos, but runs with
+    // the tendencies to keep the serial pass order.
+    auto tendency_passes = [&](int jb, int je) {
+      rhs_.pass_u_momentum(st, out, jb, je);
+      rhs_.pass_v_momentum(st, out, jb, je);
+      rhs_.pass_continuity(st, out, jb, je);
+    };
 
-    // -- phase 1: prognostic halos, vorticity/KE and Laplacian passes.
-    if (mode_ == halo_mode::per_field) {
-      const obs::scoped_vspan halo_span(
-          obs::domain::swm, static_cast<std::uint16_t>(comm_.rank()),
-          "halo.prognostic", [this] { return comm_.now(); });
-      detail::exchange_halo(comm_, U, tags::halo_u);
-      detail::exchange_halo(comm_, V, tags::halo_v);
-      detail::exchange_halo(comm_, H, tags::halo_eta);
-    } else {
-      halo_.start(engine_phase::prognostic, {&U, &V, &H});
-      if (!overlap) halo_.finish();
-    }
-    count_halo_traffic(3);
+    halo_.start(engine_phase::prognostic, {&st.u, &st.v, &st.eta});
+    prognostic_passes(1, nyl - 1);
+    charge(rhs_split_.interior_prognostic);
+    halo_.finish();
+    prognostic_passes(0, 1);
+    prognostic_passes(nyl - 1, nyl);
+    charge(rhs_split_.boundary_prognostic);
 
-    if (overlap) {
-      rhs_vorticity_rows(st, 1, nyl - 1);
-      rhs_laplacian_rows(st, 1, nyl - 1);
-      charge(rhs_split_.interior_prognostic);
-      halo_.finish();
-      rhs_vorticity_rows(st, 0, 1);
-      rhs_vorticity_rows(st, nyl - 1, nyl);
-      rhs_laplacian_rows(st, 0, 1);
-      rhs_laplacian_rows(st, nyl - 1, nyl);
-      charge(rhs_split_.boundary_prognostic);
-    } else {
-      rhs_vorticity_rows(st, 0, nyl);
-      rhs_laplacian_rows(st, 0, nyl);
-      charge(rhs_split_.interior_prognostic);
-      charge(rhs_split_.boundary_prognostic);
-    }
-
-    // -- phase 2: derived halos, tendency passes.
-    if (mode_ == halo_mode::per_field) {
-      const obs::scoped_vspan halo_span(
-          obs::domain::swm, static_cast<std::uint16_t>(comm_.rank()),
-          "halo.derived", [this] { return comm_.now(); });
-      detail::exchange_halo(comm_, zeta_, tags::halo_zeta);
-      detail::exchange_halo(comm_, ke_, tags::halo_ke);
-      detail::exchange_halo(comm_, lap_u_, tags::halo_lap_u);
-      detail::exchange_halo(comm_, lap_v_, tags::halo_lap_v);
-    } else {
-      halo_.start(engine_phase::derived, {&zeta_, &ke_, &lap_u_, &lap_v_});
-      if (!overlap) halo_.finish();
-    }
-    count_halo_traffic(4);
-
-    if (overlap) {
-      rhs_tendency_u_rows(st, out, 1, nyl - 1);
-      rhs_tendency_v_rows(st, out, 1, nyl - 1);
-      rhs_continuity_rows(st, out, 1, nyl - 1);
-      charge(rhs_split_.interior_derived);
-      halo_.finish();
-      rhs_tendency_u_rows(st, out, 0, 1);
-      rhs_tendency_u_rows(st, out, nyl - 1, nyl);
-      rhs_tendency_v_rows(st, out, 0, 1);
-      rhs_tendency_v_rows(st, out, nyl - 1, nyl);
-      rhs_continuity_rows(st, out, 0, 1);
-      rhs_continuity_rows(st, out, nyl - 1, nyl);
-      charge(rhs_split_.boundary_derived);
-    } else {
-      rhs_tendency_u_rows(st, out, 0, nyl);
-      rhs_tendency_v_rows(st, out, 0, nyl);
-      rhs_continuity_rows(st, out, 0, nyl);
-      charge(rhs_split_.interior_derived);
-      charge(rhs_split_.boundary_derived);
-    }
-  }
-
-  /// Vorticity + kinetic-energy pass over rows [jb, je). Reads U,V
-  /// rows j-1..j+1, so rows 0 and local_ny-1 need prognostic halos.
-  void rhs_vorticity_rows(slab_state<T>& st, int jb, int je) {
-    const int nx = params_.nx;
-    const coefficients<T>& c = coeffs_;
-    auto& U = st.u;
-    auto& V = st.v;
-    for (int j = jb; j < je; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        zeta_(i, j) = (V(i, j) - V(im, j)) - (U(i, j) - U(i, j - 1));
-        const T ubar = c.half * (U(i, j) + U(ip, j));
-        const T vbar = c.half * (V(i, j) + V(i, j + 1));
-        ke_(i, j) = c.half * (ubar * (c.inv_s * ubar) +
-                              vbar * (c.inv_s * vbar));
-      }
-    }
-  }
-
-  /// Laplacian pass over rows [jb, je) (same halo needs as above).
-  void rhs_laplacian_rows(slab_state<T>& st, int jb, int je) {
-    const int nx = params_.nx;
-    auto& U = st.u;
-    auto& V = st.v;
-    for (int j = jb; j < je; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        const T four = T(4);
-        lap_u_(i, j) = U(ip, j) + U(im, j) + U(i, j + 1) + U(i, j - 1) -
-                       four * U(i, j);
-        lap_v_(i, j) = V(ip, j) + V(im, j) + V(i, j + 1) + V(i, j - 1) -
-                       four * V(i, j);
-      }
-    }
-  }
-
-  /// u-tendency pass over rows [jb, je); rows 0 and local_ny-1 read
-  /// the derived halos (zeta, lap_u at j±1).
-  void rhs_tendency_u_rows(slab_state<T>& st, slab_state<T>& out, int jb,
-                           int je) {
-    const int nx = params_.nx;
-    const coefficients<T>& c = coeffs_;
-    auto& U = st.u;
-    auto& V = st.v;
-    auto& H = st.eta;
-    for (int j = jb; j < je; ++j) {
-      const T dtf = dt_cor_u_[static_cast<std::size_t>(j)];
-      const T wind = wind_u_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        const T vbar = c.quarter *
-                       (V(im, j) + V(i, j) + V(im, j + 1) + V(i, j + 1));
-        const T zbar = c.inv_s * (c.half * (zeta_(i, j) + zeta_(i, j + 1)));
-        const T biharm = lap_u_(ip, j) + lap_u_(im, j) + lap_u_(i, j + 1) +
-                         lap_u_(i, j - 1) - T(4) * lap_u_(i, j);
-        out.u(i, j) = dtf * vbar + c.dtdx * (zbar * vbar) -
-                      c.g_dtdx * (H(i, j) - H(im, j)) -
-                      c.dtdx * (ke_(i, j) - ke_(im, j)) + wind -
-                      c.dt_drag * U(i, j) - c.dt_visc * biharm;
-      }
-    }
-  }
-
-  /// v-tendency pass over rows [jb, je).
-  void rhs_tendency_v_rows(slab_state<T>& st, slab_state<T>& out, int jb,
-                           int je) {
-    const int nx = params_.nx;
-    const coefficients<T>& c = coeffs_;
-    auto& U = st.u;
-    auto& V = st.v;
-    auto& H = st.eta;
-    for (int j = jb; j < je; ++j) {
-      const T dtf = dt_cor_v_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < nx; ++i) {
-        const int im = V.im(i);
-        const int ip = V.ip(i);
-        const T ubar = c.quarter *
-                       (U(i, j - 1) + U(i, j) + U(ip, j - 1) + U(ip, j));
-        const T zbar = c.inv_s * (c.half * (zeta_(i, j) + zeta_(ip, j)));
-        const T biharm = lap_v_(ip, j) + lap_v_(im, j) + lap_v_(i, j + 1) +
-                         lap_v_(i, j - 1) - T(4) * lap_v_(i, j);
-        out.v(i, j) = -dtf * ubar - c.dtdx * (zbar * ubar) -
-                      c.g_dtdy * (H(i, j) - H(i, j - 1)) -
-                      c.dtdy * (ke_(i, j) - ke_(i, j - 1)) -
-                      c.dt_drag * V(i, j) - c.dt_visc * biharm;
-      }
-    }
-  }
-
-  /// Continuity (eta-tendency) pass over rows [jb, je); needs only
-  /// prognostic halos, but runs in the derived window to keep the
-  /// serial pass order.
-  void rhs_continuity_rows(slab_state<T>& st, slab_state<T>& out, int jb,
-                           int je) {
-    const int nx = params_.nx;
-    const coefficients<T>& c = coeffs_;
-    auto& U = st.u;
-    auto& V = st.v;
-    auto& H = st.eta;
-    for (int j = jb; j < je; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const int im = H.im(i);
-        const int ip = H.ip(i);
-        const T div = c.h0_dtdx * (U(ip, j) - U(i, j)) +
-                      c.h0_dtdy * (V(i, j + 1) - V(i, j));
-        const T fx_e = U(ip, j) * (c.inv_s * (c.half * (H(i, j) + H(ip, j))));
-        const T fx_w = U(i, j) * (c.inv_s * (c.half * (H(im, j) + H(i, j))));
-        const T fy_n =
-            V(i, j + 1) * (c.inv_s * (c.half * (H(i, j) + H(i, j + 1))));
-        const T fy_s =
-            V(i, j) * (c.inv_s * (c.half * (H(i, j - 1) + H(i, j))));
-        out.eta(i, j) = -div - c.dtdx * (fx_e - fx_w) -
-                        c.dtdy * (fy_n - fy_s);
-      }
-    }
+    const auto [zeta, ke, lap_u, lap_v] = rhs_.derived_fields();
+    halo_.start(engine_phase::derived, {zeta, ke, lap_u, lap_v});
+    tendency_passes(1, nyl - 1);
+    charge(rhs_split_.interior_derived);
+    halo_.finish();
+    tendency_passes(0, 1);
+    tendency_passes(nyl - 1, nyl);
+    charge(rhs_split_.boundary_derived);
   }
 
   /// Modeled compute charge (set_modeled_rhs_seconds); mirrors the
@@ -532,112 +323,38 @@ class distributed_model {
     if (seconds > 0) comm_.advance(seconds);
   }
 
-  void combine_stage(slab_state<T>& y, slab_state<T>& k, T a) {
-    auto combine_one = [a](slab<T>& dst, slab<T>& yy, slab<T>& kk) {
-      auto d = dst.interior();
-      auto yv = yy.interior();
-      auto kv = kk.interior();
-      for (std::size_t idx = 0; idx < d.size(); ++idx) {
-        d[idx] = yv[idx] + a * kv[idx];
-      }
-    };
-    combine_one(stage_.u, y.u, k.u);
-    combine_one(stage_.v, y.v, k.v);
-    combine_one(stage_.eta, y.eta, k.eta);
-  }
-
-  void rk4_combine(slab<T>& inc, slab<T>& a, slab<T>& b, slab<T>& cc,
-                   slab<T>& d) {
-    auto o = inc.interior();
-    auto k1 = a.interior();
-    auto k2 = b.interior();
-    auto k3 = cc.interior();
-    auto k4 = d.interior();
-    const T two{2};
-    const T sixth = T(1.0 / 6.0);
-    for (std::size_t idx = 0; idx < o.size(); ++idx) {
-      o[idx] = sixth * (k1[idx] + two * k2[idx] + two * k3[idx] + k4[idx]);
-    }
-  }
-
-  void apply_plain(slab<T>& y, slab<T>& inc) {
-    auto yv = y.interior();
-    auto iv = inc.interior();
-    for (std::size_t idx = 0; idx < yv.size(); ++idx) yv[idx] += iv[idx];
-  }
-
-  /// Bytes one rank ships per halo exchange of one slab: two interior
-  /// rows of nx elements (no sends at all on a single rank - the wrap
-  /// is local). Identical across engines; aggregation repackages the
-  /// same rows, it does not change their volume.
-  [[nodiscard]] std::uint64_t bytes_per_exchange() const {
-    if (comm_.size() == 1) return 0;
-    return 2ull * static_cast<std::uint64_t>(params_.nx) * sizeof(T);
-  }
-
-  /// Accumulate one just-completed halo phase of `fields` slabs into
-  /// this step's measured counters (tracing on only). Bytes are
-  /// mode-independent; the message count is what aggregation changes:
-  /// 2 sends per field legacy, 2 packed sends per phase aggregated.
-  void count_halo_traffic(std::uint64_t fields) {
-    if (!obs::active()) return;
-    obs_halo_bytes_ += fields * bytes_per_exchange();
-    if (comm_.size() > 1) {
-      obs_halo_msgs_ += mode_ == halo_mode::per_field ? 2 * fields : 2;
-    }
-  }
-
-  /// Per-step halo-traffic samples: value = what this rank measurably
-  /// sent this step (accumulated phase by phase), aux = the perfmodel
-  /// prediction (predict_halo) - the distributed counterpart of the
-  /// serial model's swm.update_bytes counter. Measured and predicted
-  /// agree exactly; tests/swm_halo_test pins it.
-  void emit_step_obs() {
+  /// Per-step halo-traffic samples: value = what this rank's halo
+  /// engine sent this step, aux = the perfmodel prediction
+  /// (predict_halo) - the distributed counterpart of the serial
+  /// model's swm.update_bytes counter. Measured and predicted agree
+  /// exactly; tests/swm_halo_test pins it.
+  void emit_step_obs(std::uint64_t messages, std::uint64_t bytes) {
     if (!obs::active()) return;
     const halo_cost predicted =
-        predict_halo(comm_.net(), params_.nx, sizeof(T), comm_.size(), mode_);
+        predict_halo(comm_.net(), params_.nx, sizeof(T), comm_.size());
     obs::counter_at(obs::domain::swm, static_cast<std::uint16_t>(comm_.rank()),
-                    "swm.halo_bytes", comm_.now(), obs_halo_bytes_,
-                    predicted.bytes);
+                    "swm.halo_bytes", comm_.now(), bytes, predicted.bytes);
     obs::counter_at(obs::domain::swm, static_cast<std::uint16_t>(comm_.rank()),
-                    "swm.halo_messages", comm_.now(), obs_halo_msgs_,
+                    "swm.halo_messages", comm_.now(), messages,
                     predicted.messages);
-    obs::metric_add("swm.halo_bytes", obs_halo_bytes_);
-    obs::metric_add("swm.halo_messages", obs_halo_msgs_);
+    obs::metric_add("swm.halo_bytes", bytes);
+    obs::metric_add("swm.halo_messages", messages);
     obs::metric_add("swm.dist_steps");
-  }
-
-  void apply_comp(slab<T>& y, slab<T>& inc, slab<T>& comp) {
-    auto yv = y.interior();
-    auto iv = inc.interior();
-    auto cv = comp.interior();
-    for (std::size_t idx = 0; idx < yv.size(); ++idx) {
-      const T adjusted = iv[idx] - cv[idx];
-      const T t = yv[idx] + adjusted;
-      cv[idx] = (t - yv[idx]) - adjusted;
-      yv[idx] = t;
-    }
   }
 
   mpisim::communicator& comm_;
   swm_params params_;
   integration_scheme scheme_;
-  coefficients<T> coeffs_;
   int local_ny_ = 0;
   int j0_ = 0;
   int steps_ = 0;
   int health_every_ = 0;  ///< 0: sentinel off (default)
-  halo_mode mode_ = halo_mode::aggregated_overlap;
-  double modeled_rhs_seconds_ = 0;    ///< 0: virtual time is comm-only
-  rhs_compute_split rhs_split_{};
-  std::uint64_t obs_halo_bytes_ = 0;  ///< this step's measured traffic
-  std::uint64_t obs_halo_msgs_ = 0;   ///< this step's measured sends
+  rhs_compute_split rhs_split_{};  ///< all zero: virtual time is comm-only
 
+  rhs_evaluator<T, slab<T>> rhs_;
   halo_exchanger<T> halo_;
-  slab_state<T> prog_, comp_, stage_, inc_;
-  slab_state<T> k1_, k2_, k3_, k4_;
-  slab<T> zeta_, ke_, lap_u_, lap_v_;
-  std::vector<T> dt_cor_u_, dt_cor_v_, wind_u_;
+  slab_state<T> prog_, comp_, stage_;
+  tendencies<T> k1_, k2_, k3_, k4_;
 };
 
 }  // namespace tfx::swm

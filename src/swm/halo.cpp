@@ -20,8 +20,7 @@ rhs_compute_split split_rhs_compute(double seconds_per_eval, int local_ny) {
 }
 
 mpisim::sim_program make_halo_program(int p, int nx, std::size_t elem_bytes,
-                                      halo_mode mode, int steps,
-                                      double rhs_seconds_per_eval,
+                                      int steps, double rhs_seconds_per_eval,
                                       int local_ny) {
   mpisim::sim_program prog(p);
   const rhs_compute_split cs =
@@ -36,41 +35,19 @@ mpisim::sim_program make_halo_program(int p, int nx, std::size_t elem_bytes,
     auto charge = [&ops](double s) {
       if (s > 0) ops.push_back(mpisim::sim_op::compute_for(s));
     };
-    auto blocking_exchange = [&](std::size_t bytes) {
-      ops.push_back(mpisim::sim_op::send_to(up, bytes));
-      ops.push_back(mpisim::sim_op::send_to(down, bytes));
-      ops.push_back(mpisim::sim_op::recv_from(down, bytes));
-      ops.push_back(mpisim::sim_op::recv_from(up, bytes));
-    };
+    // On one rank the wrap is local: no messages, compute still charged.
     auto phase = [&](std::size_t fields, double interior, double boundary) {
       const std::size_t packed = fields * row;
-      if (p == 1) {  // local wrap: no messages, compute still charged
-        charge(interior);
-        charge(boundary);
-        return;
+      if (p > 1) {  // start(): both sends post eagerly
+        ops.push_back(mpisim::sim_op::send_to(up, packed));
+        ops.push_back(mpisim::sim_op::send_to(down, packed));
       }
-      switch (mode) {
-        case halo_mode::per_field:
-          for (std::size_t f = 0; f < fields; ++f) blocking_exchange(row);
-          charge(interior);
-          charge(boundary);
-          break;
-        case halo_mode::aggregated:
-          blocking_exchange(packed);
-          charge(interior);
-          charge(boundary);
-          break;
-        case halo_mode::aggregated_overlap:
-          // start(): sends post eagerly; the interior charge runs with
-          // the payloads in flight; finish() waits down then up.
-          ops.push_back(mpisim::sim_op::send_to(up, packed));
-          ops.push_back(mpisim::sim_op::send_to(down, packed));
-          charge(interior);
-          ops.push_back(mpisim::sim_op::recv_from(down, packed));
-          ops.push_back(mpisim::sim_op::recv_from(up, packed));
-          charge(boundary);
-          break;
+      charge(interior);  // interior rows, payloads in flight
+      if (p > 1) {  // finish(): wait down, then up
+        ops.push_back(mpisim::sim_op::recv_from(down, packed));
+        ops.push_back(mpisim::sim_op::recv_from(up, packed));
       }
+      charge(boundary);
     };
     for (int s = 0; s < steps; ++s) {
       for (int stage = 0; stage < 4; ++stage) {

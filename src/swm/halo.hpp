@@ -1,21 +1,19 @@
 #pragma once
 
 /// \file halo.hpp
-/// Slab storage and the halo engine of the distributed shallow-water
-/// model: the legacy per-field blocking exchange (kept as the
-/// bit-equality oracle) and the aggregated, overlappable
-/// halo_exchanger.
+/// The halo engine of the distributed shallow-water model: the
+/// aggregated, overlappable halo_exchanger over slab<T> (swm/field.hpp).
 ///
 /// The paper's § III-A (Figs. 2-3) shows per-message overhead only
 /// vanishing once payloads reach the ≳1-2 KiB regime; shipping each
-/// halo row of each field as its own message therefore prices 7 alpha
-/// terms per RHS evaluation where one would do. The engine packs all
+/// halo row of each field as its own message would pay 7 alpha terms
+/// per direction per RHS evaluation where 2 do. The engine packs all
 /// fields of a phase (3 prognostic / 4 derived) into one contiguous
-/// buffer per neighbour direction - 28 sends per neighbour per RK4
-/// step become 8 - and exposes start()/finish() so the caller can
-/// compute halo-independent interior rows while the messages are in
-/// flight. docs/COMM.md describes the packing layout, the overlap
-/// window, and the virtual-time accounting.
+/// buffer per neighbour direction - 8 sends per neighbour per RK4
+/// step - and exposes start()/finish() so the caller can compute
+/// halo-independent interior rows while the messages are in flight.
+/// docs/COMM.md describes the packing layout, the overlap window, and
+/// the virtual-time accounting.
 ///
 /// Fault-plane compatibility is inherited wholesale: packed channels
 /// go through the same send_bytes/recv_bytes paths as any message, so
@@ -38,135 +36,10 @@
 #include "mpisim/patterns.hpp"
 #include "mpisim/runtime.hpp"
 #include "obs/trace.hpp"
-#include "swm/perfmodel.hpp"
+#include "swm/field.hpp"
 #include "swm/tags.hpp"
 
 namespace tfx::swm {
-
-/// nx x local_ny slab with one halo row below (j = -1) and above
-/// (j = local_ny). Periodic in x only; y neighbours come from MPI.
-template <typename T>
-class slab {
- public:
-  slab() = default;
-  slab(int nx, int local_ny)
-      : nx_(nx), local_ny_(local_ny),
-        data_(static_cast<std::size_t>(nx) *
-              static_cast<std::size_t>(local_ny + 2)) {
-    TFX_EXPECTS(nx > 0 && local_ny >= 2);
-  }
-
-  [[nodiscard]] int nx() const { return nx_; }
-  [[nodiscard]] int local_ny() const { return local_ny_; }
-
-  /// j in [-1, local_ny] (halo rows included).
-  T& operator()(int i, int j) {
-    return data_[static_cast<std::size_t>(j + 1) *
-                     static_cast<std::size_t>(nx_) +
-                 static_cast<std::size_t>(i)];
-  }
-  const T& operator()(int i, int j) const {
-    return data_[static_cast<std::size_t>(j + 1) *
-                     static_cast<std::size_t>(nx_) +
-                 static_cast<std::size_t>(i)];
-  }
-
-  [[nodiscard]] int ip(int i) const { return i + 1 == nx_ ? 0 : i + 1; }
-  [[nodiscard]] int im(int i) const { return i == 0 ? nx_ - 1 : i - 1; }
-
-  /// Interior row j as a span (for sends and bulk updates).
-  [[nodiscard]] std::span<T> row(int j) {
-    return {&(*this)(0, j), static_cast<std::size_t>(nx_)};
-  }
-  [[nodiscard]] std::span<const T> row(int j) const {
-    return {&(*this)(0, j), static_cast<std::size_t>(nx_)};
-  }
-
-  /// All interior elements, row-major (halo rows excluded).
-  [[nodiscard]] std::span<T> interior() {
-    return {&(*this)(0, 0), static_cast<std::size_t>(nx_) *
-                                static_cast<std::size_t>(local_ny_)};
-  }
-  [[nodiscard]] std::span<const T> interior() const {
-    return {&(*this)(0, 0), static_cast<std::size_t>(nx_) *
-                                static_cast<std::size_t>(local_ny_)};
-  }
-
-  void fill(T v) {
-    for (auto& x : data_) x = v;
-  }
-
- private:
-  int nx_ = 0, local_ny_ = 0;
-  std::vector<T> data_;
-};
-
-/// The three prognostic slabs of one rank.
-template <typename T>
-struct slab_state {
-  slab<T> u, v, eta;
-
-  slab_state() = default;
-  slab_state(int nx, int local_ny)
-      : u(nx, local_ny), v(nx, local_ny), eta(nx, local_ny) {}
-
-  void fill(T value) {
-    u.fill(value);
-    v.fill(value);
-    eta.fill(value);
-  }
-};
-
-namespace detail {
-
-/// Fill both halo rows from the slab's own interior (the p == 1 case
-/// of a periodic-in-y exchange). Shared by the legacy per-field path
-/// and the aggregated engine so the wrap is written exactly once.
-template <typename T>
-void wrap_halo_periodic(slab<T>& f) {
-  const int top = f.local_ny() - 1;
-  for (int i = 0; i < f.nx(); ++i) {
-    f(i, -1) = f(i, top);
-    f(i, f.local_ny()) = f(i, 0);
-  }
-}
-
-/// Exchange one slab's halo rows with the y-neighbours (periodic).
-/// The legacy per-field blocking path: one message per row per field.
-/// Kept verbatim as the bit-equality oracle for the aggregated engine
-/// (halo_mode::per_field selects it in the distributed model).
-template <typename T>
-void exchange_halo(mpisim::communicator& comm, slab<T>& f, int tag) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  const int up = (r + 1) % p;          // owns rows above mine
-  const int down = (r - 1 + p) % p;    // owns rows below mine
-  if (p == 1) {
-    wrap_halo_periodic(f);
-    return;
-  }
-  // Send my top row up and my bottom row down; receive symmetric.
-  // Under a fault plane (mpisim/faultplane.hpp) a crashed neighbour or
-  // an exhausted retry budget raises comm_error; annotate it with the
-  // exchange context so the step loop fails loudly and debuggably
-  // instead of hanging on a halo row that will never arrive.
-  try {
-    comm.send(std::span<const T>(f.row(f.local_ny() - 1)), up, tag);
-    comm.send(std::span<const T>(f.row(0)), down, tag + 1);
-    comm.recv(std::span<T>(&f(0, -1), static_cast<std::size_t>(f.nx())), down,
-              tag);
-    comm.recv(
-        std::span<T>(&f(0, f.local_ny()), static_cast<std::size_t>(f.nx())),
-        up, tag + 1);
-  } catch (const mpisim::comm_error& e) {
-    throw mpisim::comm_error(
-        e.why(), e.peer(),
-        "halo exchange (rank " + std::to_string(comm.rank()) + ", tag " +
-            std::to_string(tag) + "): " + e.what());
-  }
-}
-
-}  // namespace detail
 
 /// Persistent aggregated halo engine: one packed message per neighbour
 /// direction per phase, receives posted up front, completion split
@@ -228,7 +101,7 @@ class halo_exchanger {
     rx_[1] = comm_->irecv(std::span<T>(recv_up_.data(), n), up, tag + 1);
     std::size_t at = 0;
     for (slab<T>* f : fields_) {
-      const auto top = f->row(f->local_ny() - 1);
+      const auto top = f->row(f->ny() - 1);
       const auto bottom = f->row(0);
       std::copy(top.begin(), top.end(), send_up_.begin() + at);
       std::copy(bottom.begin(), bottom.end(), send_down_.begin() + at);
@@ -251,8 +124,13 @@ class halo_exchanger {
   void finish() {
     TFX_EXPECTS(in_flight_);
     const int p = comm_->size();
-    if (p == 1) {
-      for (slab<T>* f : fields_) detail::wrap_halo_periodic(*f);
+    if (p == 1) {  // periodic in y on one rank: the halos wrap locally
+      for (slab<T>* f : fields_) {
+        for (int i = 0; i < nx_; ++i) {
+          (*f)(i, -1) = (*f)(i, f->ny() - 1);
+          (*f)(i, f->ny()) = (*f)(i, 0);
+        }
+      }
       in_flight_ = false;
       return;
     }
@@ -272,7 +150,7 @@ class halo_exchanger {
     for (slab<T>* f : fields_) {
       for (int i = 0; i < nx_; ++i) {
         (*f)(i, -1) = recv_down_[at + static_cast<std::size_t>(i)];
-        (*f)(i, f->local_ny()) = recv_up_[at + static_cast<std::size_t>(i)];
+        (*f)(i, f->ny()) = recv_up_[at + static_cast<std::size_t>(i)];
       }
       at += static_cast<std::size_t>(nx_);
     }
@@ -333,13 +211,12 @@ rhs_compute_split split_rhs_compute(double seconds_per_eval, int local_ny);
 /// program, operation for operation (mpisim/patterns.hpp discipline):
 /// per RK4 stage, a 3-field prognostic phase then a 4-field derived
 /// phase, with the modeled compute charges placed exactly where
-/// distributed_model places its advance() calls for the given mode.
-/// tests/swm_halo_test pins the threaded model's virtual clocks
-/// against simulate() of this program. Requires a uniform
-/// decomposition (every rank `local_ny` rows).
+/// distributed_model places its advance() calls. tests/swm_halo_test
+/// pins the threaded model's virtual clocks against simulate() of this
+/// program. Requires a uniform decomposition (every rank `local_ny`
+/// rows).
 mpisim::sim_program make_halo_program(int p, int nx, std::size_t elem_bytes,
-                                      halo_mode mode, int steps,
-                                      double rhs_seconds_per_eval,
+                                      int steps, double rhs_seconds_per_eval,
                                       int local_ny);
 
 }  // namespace tfx::swm

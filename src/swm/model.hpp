@@ -440,27 +440,7 @@ class model {
   }
 
   void apply_range(std::size_t lo, std::size_t hi) {
-    if (scheme_ == integration_scheme::compensated) {
-      fused_rk4_update_compensated_range<Tprog, T>(
-          prog_.u.flat(), comp_.u.flat(), k1_.du.flat(), k2_.du.flat(),
-          k3_.du.flat(), k4_.du.flat(), lo, hi);
-      fused_rk4_update_compensated_range<Tprog, T>(
-          prog_.v.flat(), comp_.v.flat(), k1_.dv.flat(), k2_.dv.flat(),
-          k3_.dv.flat(), k4_.dv.flat(), lo, hi);
-      fused_rk4_update_compensated_range<Tprog, T>(
-          prog_.eta.flat(), comp_.eta.flat(), k1_.deta.flat(),
-          k2_.deta.flat(), k3_.deta.flat(), k4_.deta.flat(), lo, hi);
-    } else {
-      fused_rk4_update_range<Tprog, T>(prog_.u.flat(), k1_.du.flat(),
-                                       k2_.du.flat(), k3_.du.flat(),
-                                       k4_.du.flat(), lo, hi);
-      fused_rk4_update_range<Tprog, T>(prog_.v.flat(), k1_.dv.flat(),
-                                       k2_.dv.flat(), k3_.dv.flat(),
-                                       k4_.dv.flat(), lo, hi);
-      fused_rk4_update_range<Tprog, T>(prog_.eta.flat(), k1_.deta.flat(),
-                                       k2_.deta.flat(), k3_.deta.flat(),
-                                       k4_.deta.flat(), lo, hi);
-    }
+    fused_rk4_apply_range(prog_, comp_, k1_, k2_, k3_, k4_, scheme_, lo, hi);
   }
 
   /// The state the RHS reads: the Tprog-precision state itself, or the

@@ -67,10 +67,11 @@ step_cost predict_step(const arch::a64fx_params& machine, int nx, int ny,
 double speedup_vs_float64(const arch::a64fx_params& machine, int nx, int ny,
                           const precision_config& config);
 
-/// How the distributed model moves its halo rows (docs/COMM.md).
+/// Halo-exchange schemes predict_halo can price (docs/COMM.md). The
+/// distributed model runs aggregated_overlap; the other two are priced
+/// only, as the baselines aggregation is measured against.
 enum class halo_mode : std::uint8_t {
   per_field,           ///< 7 blocking per-field exchanges per RHS eval
-                       ///< (the bit-equality oracle)
   aggregated,          ///< one packed message per neighbour per phase
   aggregated_overlap,  ///< packed + interior compute under the exchange
 };
@@ -105,9 +106,11 @@ struct halo_cost {
 };
 
 /// Predict one rank's per-step halo traffic for an nx-wide slab of
-/// sizeof-`elem_bytes` elements split over `ranks` ranks under `mode`.
+/// sizeof-`elem_bytes` elements split over `ranks` ranks under `mode`
+/// (by default the engine the distributed model runs).
 halo_cost predict_halo(const mpisim::tofud_params& net, int nx,
-                       std::size_t elem_bytes, int ranks, halo_mode mode);
+                       std::size_t elem_bytes, int ranks,
+                       halo_mode mode = halo_mode::aggregated_overlap);
 
 /// Placement-aware overload: `rank`'s ring neighbours are located on
 /// the torus, intra-node messages are priced at shared-memory
@@ -120,7 +123,7 @@ halo_cost predict_halo(const mpisim::tofud_params& net, int nx,
 halo_cost predict_halo(const mpisim::tofud_params& net,
                        const mpisim::torus_placement& place, int rank,
                        int nx, std::size_t elem_bytes, int ranks,
-                       halo_mode mode);
+                       halo_mode mode = halo_mode::aggregated_overlap);
 
 /// Modeled wall seconds to integrate `steps` RK4 steps of one nx x ny
 /// member at `config` — the admission-control price of an ensemble job

@@ -18,6 +18,11 @@
 /// Requires square cells (dx == dy), which the default configurations
 /// guarantee; the constructor checks it.
 ///
+/// Written once for both grid containers (swm/field.hpp): the serial
+/// model evaluates the whole field2d grid, the distributed model one
+/// rank's slab rows - calling the five row-range passes itself, around
+/// its halo exchanges (swm/distributed.hpp).
+///
 /// Boundary conditions: doubly periodic by default; the channel option
 /// (params.hpp) places free-slip solid walls at y = 0 and y = Ly. On
 /// this C-grid layout the north-wall v-points coincide with the wrapped
@@ -28,6 +33,7 @@
 /// antisymmetric v ghost making lap_v vanish on the wall row, and (c)
 /// forcing dv = 0 on the wall row.
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -49,26 +55,36 @@ struct tendencies {
   tendencies(int nx, int ny) : du(nx, ny), dv(nx, ny), deta(nx, ny) {}
 };
 
-template <typename T>
+/// `Grid` is the field container: field2d<T> (the whole grid) or
+/// slab<T> (one rank's rows, whose jm/jp reach the halo rows).
+template <typename T, typename Grid = field2d<T>>
 class rhs_evaluator {
  public:
-  explicit rhs_evaluator(const swm_params& p)
+  using grid_state = state<T, Grid>;
+
+  /// The whole grid.
+  explicit rhs_evaluator(const swm_params& p) : rhs_evaluator(p, 0, p.ny) {}
+
+  /// `rows` rows starting at global row `j0`: the Coriolis and wind
+  /// tables are functions of the global row.
+  rhs_evaluator(const swm_params& p, int j0, int rows)
       : coeffs_(coefficients<T>::make(p)),
         channel_(p.bc == boundary::channel),
-        zeta_(p.nx, p.ny),
-        ke_(p.nx, p.ny),
-        lap_u_(p.nx, p.ny),
-        lap_v_(p.nx, p.ny) {
+        zeta_(p.nx, rows),
+        ke_(p.nx, rows),
+        lap_u_(p.nx, rows),
+        lap_v_(p.nx, rows) {
     TFX_EXPECTS(std::abs(p.dx() - p.dy()) < 1e-9 * p.dx());
     const double dt = p.dt();
     const double dy = p.dy();
-    dt_cor_u_.resize(static_cast<std::size_t>(p.ny));
-    dt_cor_v_.resize(static_cast<std::size_t>(p.ny));
-    wind_u_.resize(static_cast<std::size_t>(p.ny));
+    dt_cor_u_.resize(static_cast<std::size_t>(rows));
+    dt_cor_v_.resize(static_cast<std::size_t>(rows));
+    wind_u_.resize(static_cast<std::size_t>(rows));
     const double s = coeffs_.scale;
-    for (int j = 0; j < p.ny; ++j) {
-      const double y_center = (j + 0.5) * dy - 0.5 * p.Ly;
-      const double y_face = j * dy - 0.5 * p.Ly;
+    for (int j = 0; j < rows; ++j) {
+      const int gj = j0 + j;
+      const double y_center = (gj + 0.5) * dy - 0.5 * p.Ly;
+      const double y_face = gj * dy - 0.5 * p.Ly;
       dt_cor_u_[static_cast<std::size_t>(j)] =
           T(dt * (p.coriolis_f0 + p.coriolis_beta * y_center));
       dt_cor_v_[static_cast<std::size_t>(j)] =
@@ -76,7 +92,7 @@ class rhs_evaluator {
       // Double-gyre wind profile, periodic-compatible.
       wind_u_[static_cast<std::size_t>(j)] =
           T(-dt * s * p.wind_stress / (p.rho * p.depth) *
-            std::cos(2.0 * M_PI * (j + 0.5) / p.ny));
+            std::cos(2.0 * M_PI * (gj + 0.5) / p.ny));
     }
   }
 
@@ -99,7 +115,7 @@ class rhs_evaluator {
   }
 
   /// Evaluate the increments for state `st` into `out`.
-  void operator()(const state<T>& st, tendencies<T>& out) {
+  void operator()(const grid_state& st, tendencies<T>& out) {
     if (parallel_for_rows(st.ny())) {
       thread_pool::task tasks[pass_count];
       append_region_tasks(tasks, st, out);
@@ -111,7 +127,7 @@ class rhs_evaluator {
   }
 
   /// The five passes, serially, in dependency order.
-  void evaluate_serial(const state<T>& st, tendencies<T>& out) {
+  void evaluate_serial(const grid_state& st, tendencies<T>& out) {
     const int ny = st.ny();
     pass_vorticity_ke(st, 0, ny);
     pass_laplacians(st, 0, ny);
@@ -130,7 +146,7 @@ class rhs_evaluator {
   /// number of tasks written. This is how the model fuses the stage
   /// combine + down-cast + RHS into ONE worker wake per RK4 stage.
   std::size_t append_region_tasks(thread_pool::task* tasks,
-                                  const state<T>& st, tendencies<T>& out) {
+                                  const grid_state& st, tendencies<T>& out) {
     ctx_ = pass_ctx{this, &st, &out};
     const auto n = static_cast<std::size_t>(st.ny());
     tasks[0] = {n, &run_pass<&rhs_evaluator::pass_vorticity_ke>, &ctx_};
@@ -147,33 +163,21 @@ class rhs_evaluator {
   static constexpr double array_reads = 19.0;
   static constexpr double array_writes = 7.0;
 
- private:
-  struct pass_ctx {
-    rhs_evaluator* self = nullptr;
-    const state<T>* st = nullptr;
-    tendencies<T>* out = nullptr;
-  };
-
-  template <void (rhs_evaluator::*Pass)(const state<T>&, int, int)>
-  static void run_pass(const void* c, int, std::size_t lo, std::size_t hi) {
-    const auto& ctx = *static_cast<const pass_ctx*>(c);
-    (ctx.self->*Pass)(*ctx.st, static_cast<int>(lo), static_cast<int>(hi));
+  /// The fields passes 1-2 write and passes 3-5 read at rows j-1..j+1
+  /// (vorticity, kinetic energy, the two Laplacians): on slabs, their
+  /// halo rows must be filled between the two pass groups.
+  [[nodiscard]] std::array<Grid*, 4> derived_fields() {
+    return {&zeta_, &ke_, &lap_u_, &lap_v_};
   }
 
-  template <void (rhs_evaluator::*Pass)(const state<T>&, tendencies<T>&, int,
-                                        int)>
-  static void run_pass_out(const void* c, int, std::size_t lo,
-                           std::size_t hi) {
-    const auto& ctx = *static_cast<const pass_ctx*>(c);
-    (ctx.self->*Pass)(*ctx.st, *ctx.out, static_cast<int>(lo),
-                      static_cast<int>(hi));
-  }
+  // The five passes, each over rows [j0, j1). Passes 1-2 read the
+  // state at rows j-1..j+1; passes 3-5 also read derived_fields().
 
   // Pass 1: relative vorticity (grid units, scale s) at corner points
   // and kinetic energy at centres. The KE is kept at scale s (not
   // s^2): one factor of each square is pre-multiplied by the exact
   // inv_s so no intermediate overflows Float16 at large s.
-  void pass_vorticity_ke(const state<T>& st, int j0, int j1) {
+  void pass_vorticity_ke(const grid_state& st, int j0, int j1) {
     const int nx = st.nx();
     const auto& U = st.u;
     const auto& V = st.v;
@@ -198,7 +202,7 @@ class rhs_evaluator {
   // the channel, u mirrors across the walls (free slip) and the
   // antisymmetric v ghost plus v = 0 on the wall row make lap_v
   // vanish there.
-  void pass_laplacians(const state<T>& st, int j0, int j1) {
+  void pass_laplacians(const grid_state& st, int j0, int j1) {
     const int nx = st.nx();
     const int ny = st.ny();
     const auto& U = st.u;
@@ -223,7 +227,7 @@ class rhs_evaluator {
   }
 
   // Pass 3: u-momentum increment.
-  void pass_u_momentum(const state<T>& st, tendencies<T>& out, int j0,
+  void pass_u_momentum(const grid_state& st, tendencies<T>& out, int j0,
                        int j1) {
     const int nx = st.nx();
     const int ny = st.ny();
@@ -261,7 +265,7 @@ class rhs_evaluator {
 
   // Pass 4: v-momentum increment. In the channel the j = 0 row IS
   // the wall (and, via the wrap, the north wall too): no flow ever.
-  void pass_v_momentum(const state<T>& st, tendencies<T>& out, int j0,
+  void pass_v_momentum(const grid_state& st, tendencies<T>& out, int j0,
                        int j1) {
     const int nx = st.nx();
     const auto& U = st.u;
@@ -296,7 +300,7 @@ class rhs_evaluator {
 
   // Pass 5: continuity. Linear part with h0, nonlinear flux with the
   // scaled surface displacement (one exact /s via the coefficient).
-  void pass_continuity(const state<T>& st, tendencies<T>& out, int j0,
+  void pass_continuity(const grid_state& st, tendencies<T>& out, int j0,
                        int j1) {
     const int nx = st.nx();
     const auto& U = st.u;
@@ -324,12 +328,34 @@ class rhs_evaluator {
     }
   }
 
+ private:
+  struct pass_ctx {
+    rhs_evaluator* self = nullptr;
+    const grid_state* st = nullptr;
+    tendencies<T>* out = nullptr;
+  };
+
+  template <void (rhs_evaluator::*Pass)(const grid_state&, int, int)>
+  static void run_pass(const void* c, int, std::size_t lo, std::size_t hi) {
+    const auto& ctx = *static_cast<const pass_ctx*>(c);
+    (ctx.self->*Pass)(*ctx.st, static_cast<int>(lo), static_cast<int>(hi));
+  }
+
+  template <void (rhs_evaluator::*Pass)(const grid_state&, tendencies<T>&, int,
+                                        int)>
+  static void run_pass_out(const void* c, int, std::size_t lo,
+                           std::size_t hi) {
+    const auto& ctx = *static_cast<const pass_ctx*>(c);
+    (ctx.self->*Pass)(*ctx.st, *ctx.out, static_cast<int>(lo),
+                      static_cast<int>(hi));
+  }
+
   thread_pool* pool_ = nullptr;
   pass_ctx ctx_;
   coefficients<T> coeffs_;
   bool channel_ = false;
   std::vector<T> dt_cor_u_, dt_cor_v_, wind_u_;
-  field2d<T> zeta_, ke_, lap_u_, lap_v_;
+  Grid zeta_, ke_, lap_u_, lap_v_;
 };
 
 }  // namespace tfx::swm

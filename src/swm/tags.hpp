@@ -10,28 +10,18 @@
 ///
 /// | band                | tags                 | owner                  |
 /// |---------------------|----------------------|------------------------|
-/// | halo exchange       | 1000 – 1111          | swm/halo.hpp           |
+/// | halo exchange       | 1100 – 1111          | swm/halo.hpp           |
 /// | resilience protocol | 1<<18 – (1<<18)+16k  | swm/resilience.hpp     |
 /// | collectives         | >= 1<<20             | mpisim/collectives.hpp |
 ///
 /// Each halo channel uses a tag *pair*: `tag` carries the upward send
-/// (my top row to rank r+1) and `tag + 1` the downward send, matching
-/// the convention of `detail::exchange_halo`.
+/// (my top rows to rank r+1) and `tag + 1` the downward send, matching
+/// `halo_exchanger::start`.
 
 namespace tfx::swm::tags {
 
-// -- legacy per-field halo exchanges (the bit-equality oracle path):
-//    one tag pair per exchanged slab, in RHS evaluation order.
-inline constexpr int halo_u = 1000;
-inline constexpr int halo_v = 1010;
-inline constexpr int halo_eta = 1020;
-inline constexpr int halo_zeta = 1030;
-inline constexpr int halo_ke = 1040;
-inline constexpr int halo_lap_u = 1050;
-inline constexpr int halo_lap_v = 1060;
-
-// -- aggregated halo channels (swm::halo_exchanger): one tag pair per
-//    phase; all fields of the phase ride in a single packed payload.
+// -- halo channels (swm::halo_exchanger): one tag pair per phase; all
+//    fields of the phase ride in a single packed payload.
 inline constexpr int halo_packed_prognostic = 1100;
 inline constexpr int halo_packed_derived = 1110;
 

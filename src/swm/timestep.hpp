@@ -203,19 +203,55 @@ void fused_rk4_update_compensated(field2d<Tprog>& y, field2d<Tprog>& comp,
                                                k4.flat(), 0, y.size());
 }
 
+/// The fused update of all three prognostic fields over one element
+/// range of their interiors: y += rk4(k1..k4), Kahan-compensated
+/// through `comp` under integration_scheme::compensated. The apply
+/// sweep of both the serial model (whole grid) and the distributed
+/// model (slab interiors).
+template <typename Tprog, typename T, typename Grid>
+void fused_rk4_apply_range(state<Tprog, Grid>& y, state<Tprog, Grid>& comp,
+                           const tendencies<T>& k1, const tendencies<T>& k2,
+                           const tendencies<T>& k3, const tendencies<T>& k4,
+                           integration_scheme scheme, std::size_t lo,
+                           std::size_t hi) {
+  if (scheme == integration_scheme::compensated) {
+    fused_rk4_update_compensated_range<Tprog, T>(
+        y.u.interior(), comp.u.interior(), k1.du.flat(), k2.du.flat(),
+        k3.du.flat(), k4.du.flat(), lo, hi);
+    fused_rk4_update_compensated_range<Tprog, T>(
+        y.v.interior(), comp.v.interior(), k1.dv.flat(), k2.dv.flat(),
+        k3.dv.flat(), k4.dv.flat(), lo, hi);
+    fused_rk4_update_compensated_range<Tprog, T>(
+        y.eta.interior(), comp.eta.interior(), k1.deta.flat(),
+        k2.deta.flat(), k3.deta.flat(), k4.deta.flat(), lo, hi);
+  } else {
+    fused_rk4_update_range<Tprog, T>(y.u.interior(), k1.du.flat(),
+                                     k2.du.flat(), k3.du.flat(), k4.du.flat(),
+                                     lo, hi);
+    fused_rk4_update_range<Tprog, T>(y.v.interior(), k1.dv.flat(),
+                                     k2.dv.flat(), k3.dv.flat(), k4.dv.flat(),
+                                     lo, hi);
+    fused_rk4_update_range<Tprog, T>(y.eta.interior(), k1.deta.flat(),
+                                     k2.deta.flat(), k3.deta.flat(),
+                                     k4.deta.flat(), lo, hi);
+  }
+}
+
 /// One element range of the fused stage combine: out = y + a*k for all
 /// three prognostic fields in a single loop (one element-wise sweep
 /// instead of three; per-field arithmetic identical to stage_combine).
-template <typename Tprog, typename T>
-void fused_stage_combine_range(state<Tprog>& out, const state<Tprog>& y,
+/// Ranges index the interiors, so slab states combine like whole grids.
+template <typename Tprog, typename T, typename Grid>
+void fused_stage_combine_range(state<Tprog, Grid>& out,
+                               const state<Tprog, Grid>& y,
                                const tendencies<T>& k, Tprog a, std::size_t lo,
                                std::size_t hi) {
-  auto ou = out.u.flat();
-  auto ov = out.v.flat();
-  auto oe = out.eta.flat();
-  auto yu = y.u.flat();
-  auto yv = y.v.flat();
-  auto ye = y.eta.flat();
+  auto ou = out.u.interior();
+  auto ov = out.v.interior();
+  auto oe = out.eta.interior();
+  auto yu = y.u.interior();
+  auto yv = y.v.interior();
+  auto ye = y.eta.interior();
   auto ku = k.du.flat();
   auto kv = k.dv.flat();
   auto ke = k.deta.flat();

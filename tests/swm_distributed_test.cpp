@@ -1,6 +1,7 @@
 // Distributed (domain-decomposed) shallow-water model over the
 // simulated MPI: bit-equality against the serial model, compensated
-// integration, collective diagnostics, and Float16 operation.
+// integration, collective diagnostics, Float16 operation, and the
+// serial model's preconditions.
 
 #include <gtest/gtest.h>
 
@@ -161,7 +162,9 @@ TEST(Distributed, HaloExchangeMovesNeighbourRows) {
     const int r = comm.rank();
     slab<double> s(2, 2);
     s.fill(static_cast<double>(r));
-    swm::detail::exchange_halo(comm, s, 500);
+    halo_exchanger<double> halo(comm, 2);
+    halo.start(halo_exchanger<double>::phase::prognostic, {&s});
+    halo.finish();
     const int up = (r + 1) % 3;
     const int down = (r - 1 + 3) % 3;
     EXPECT_EQ(s(0, -1), static_cast<double>(down));
@@ -196,6 +199,26 @@ TEST(Distributed, CrashedRankFailsTheStepLoudly) {
   }
   const auto& crashed = w.last_fault_report().crashed;
   EXPECT_NE(std::find(crashed.begin(), crashed.end(), 1), crashed.end());
+}
+
+TEST(DistributedDeathTest, NonSquareCellsAbortLikeTheSerialModel) {
+  // The discretisation assumes dx == dy (the v-equation's vorticity
+  // term uses dt/dx); the serial model rejects other cells, and so
+  // must every rank of the distributed one.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  swm_params params = small_params();
+  params.ny = params.nx;  // the default Lx = 2 Ly makes dx = 2 dy
+  ASSERT_GT(std::abs(params.dx() - params.dy()), 0.0);
+  EXPECT_DEATH(model<double>{params}, "p.dx\\(\\) - p.dy\\(\\)");
+  EXPECT_DEATH(
+      {
+        mpisim::world w(2);
+        w.run([&](mpisim::communicator& comm) {
+          distributed_model<double> dm(comm, params);
+          dm.run(2);
+        });
+      },
+      "p.dx\\(\\) - p.dy\\(\\)");
 }
 
 TEST(Distributed, DecompositionArithmetic) {

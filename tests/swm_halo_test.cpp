@@ -1,10 +1,11 @@
 // The aggregated, overlapped halo engine (swm/halo.hpp): packed
-// exchanges move the right rows, every halo mode reproduces the
-// per-field oracle bit-for-bit (standard, compensated, Float16,
-// uneven decompositions, under chaos, and through crash/rollback
-// recovery), the threaded virtual clocks pin against the DES twin,
-// the perfmodel's halo term matches the measured obs counters
-// exactly, and the engine is allocation-free after warmup.
+// exchanges move the right rows, the distributed model reproduces the
+// serial model bit-for-bit (standard, compensated, Float16, uneven
+// decompositions, under chaos, and through crash/rollback recovery),
+// the threaded virtual clocks pin against the DES twin, overlap hides
+// compute in virtual time, the perfmodel's halo term matches the
+// measured obs counters exactly, and the engine is allocation-free
+// after warmup.
 
 #include <gtest/gtest.h>
 
@@ -61,19 +62,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-constexpr halo_mode all_modes[] = {halo_mode::per_field,
-                                   halo_mode::aggregated,
-                                   halo_mode::aggregated_overlap};
-
-const char* mode_name(halo_mode m) {
-  switch (m) {
-    case halo_mode::per_field: return "per_field";
-    case halo_mode::aggregated: return "aggregated";
-    case halo_mode::aggregated_overlap: return "aggregated_overlap";
-  }
-  return "?";
-}
-
 swm_params small_params() {
   swm_params p;
   p.nx = 32;
@@ -97,16 +85,15 @@ state<T> initial_state(const swm_params& p) {
   return m.prognostic();
 }
 
-/// Distributed trajectory under `mode`, gathered to a global state.
+/// Distributed trajectory, gathered to a global state.
 template <typename T>
 state<T> distributed_trajectory(const swm_params& params, int p, int steps,
-                                integration_scheme scheme, halo_mode mode) {
+                                integration_scheme scheme) {
   const auto init = initial_state<T>(params);
   state<T> out(params.nx, params.ny);
   mpisim::world w(p);
   w.run([&](mpisim::communicator& comm) {
     distributed_model<T> dm(comm, params, scheme);
-    dm.set_halo_mode(mode);
     dm.set_from_global(init);
     dm.run(steps);
     auto global = dm.gather_global();
@@ -206,8 +193,8 @@ TEST(HaloEngine, SingleRankWrapsPeriodically) {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole property: every halo mode is bit-identical to the per-field
-// oracle (which itself is bit-identical to the serial model).
+// Tentpole property: the distributed model, halos on the packed
+// overlapped engine, is bit-identical to the serial model.
 // ---------------------------------------------------------------------------
 
 class HaloModeRanks : public ::testing::TestWithParam<int> {};
@@ -218,11 +205,9 @@ TEST_P(HaloModeRanks, AllModesBitEqualToSerialFloat64) {
   const int steps = 20;
   const auto serial =
       serial_trajectory<double>(params, steps, integration_scheme::standard);
-  for (const halo_mode mode : all_modes) {
-    const auto got = distributed_trajectory<double>(
-        params, p, steps, integration_scheme::standard, mode);
-    expect_states_bitwise(got, serial, mode_name(mode));
-  }
+  const auto got = distributed_trajectory<double>(
+      params, p, steps, integration_scheme::standard);
+  expect_states_bitwise(got, serial, "standard");
 }
 
 TEST_P(HaloModeRanks, CompensatedSchemeAlsoBitEqual) {
@@ -231,51 +216,48 @@ TEST_P(HaloModeRanks, CompensatedSchemeAlsoBitEqual) {
   const int steps = 12;
   const auto serial = serial_trajectory<double>(
       params, steps, integration_scheme::compensated);
-  for (const halo_mode mode : all_modes) {
-    const auto got = distributed_trajectory<double>(
-        params, p, steps, integration_scheme::compensated, mode);
-    expect_states_bitwise(got, serial, mode_name(mode));
+  const auto got = distributed_trajectory<double>(
+      params, p, steps, integration_scheme::compensated);
+  expect_states_bitwise(got, serial, "compensated");
+}
+
+TEST_P(HaloModeRanks, Float16CompensatedBitEqualToSerial) {
+  // Float16 flushes subnormal results per thread (A64FX FZ16), so the
+  // serial oracle and every rank thread run under the same flush mode.
+  const int p = GetParam();
+  swm_params params = small_params();
+  params.log2_scale = 12;
+  const int steps = 10;
+  state<float16> init, serial;
+  {
+    fp::ftz_guard ftz(fp::ftz_mode::flush);
+    init = initial_state<float16>(params);
+    serial = serial_trajectory<float16>(params, steps,
+                                        integration_scheme::compensated);
+  }
+  state<float16> got(params.nx, params.ny);
+  mpisim::world w(p);
+  w.run([&](mpisim::communicator& comm) {
+    fp::ftz_guard ftz(fp::ftz_mode::flush);
+    distributed_model<float16> dm(comm, params,
+                                  integration_scheme::compensated);
+    dm.set_from_global(init);
+    dm.run(steps);
+    auto global = dm.gather_global();
+    if (comm.rank() == 0) got = std::move(global);
+  });
+  for (int j = 0; j < params.ny; ++j) {
+    for (int i = 0; i < params.nx; ++i) {
+      ASSERT_EQ(got.u(i, j).bits(), serial.u(i, j).bits()) << i << "," << j;
+      ASSERT_EQ(got.v(i, j).bits(), serial.v(i, j).bits()) << i << "," << j;
+      ASSERT_EQ(got.eta(i, j).bits(), serial.eta(i, j).bits())
+          << i << "," << j;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, HaloModeRanks,
                          ::testing::Values(1, 2, 4, 8));
-
-TEST(HaloModes, Float16CompensatedIdenticalAcrossModes) {
-  // Float16 has no serial bit-oracle in this suite; instead pin the
-  // aggregated engines against the per-field oracle directly.
-  swm_params params = small_params();
-  params.log2_scale = 12;
-  const int p = 4;
-  const int steps = 10;
-  auto run_mode = [&](halo_mode mode) {
-    const auto init = initial_state<float16>(params);
-    state<float16> out(params.nx, params.ny);
-    mpisim::world w(p);
-    w.run([&](mpisim::communicator& comm) {
-      fp::ftz_guard ftz(fp::ftz_mode::flush);
-      distributed_model<float16> dm(comm, params,
-                                    integration_scheme::compensated);
-      dm.set_halo_mode(mode);
-      dm.set_from_global(init);
-      dm.run(steps);
-      auto global = dm.gather_global();
-      if (comm.rank() == 0) out = std::move(global);
-    });
-    return out;
-  };
-  const auto oracle = run_mode(halo_mode::per_field);
-  for (const halo_mode mode :
-       {halo_mode::aggregated, halo_mode::aggregated_overlap}) {
-    const auto got = run_mode(mode);
-    for (int j = 0; j < params.ny; ++j) {
-      for (int i = 0; i < params.nx; ++i) {
-        ASSERT_EQ(got.eta(i, j).bits(), oracle.eta(i, j).bits())
-            << mode_name(mode) << " " << i << "," << j;
-      }
-    }
-  }
-}
 
 // (nx, ny, p): uneven slab heights and odd widths.
 class HaloUneven
@@ -290,11 +272,9 @@ TEST_P(HaloUneven, UnevenDecompositionBitEqualAcrossModes) {
   const int steps = 8;
   const auto serial =
       serial_trajectory<double>(params, steps, integration_scheme::standard);
-  for (const halo_mode mode : all_modes) {
-    const auto got = distributed_trajectory<double>(
-        params, p, steps, integration_scheme::standard, mode);
-    expect_states_bitwise(got, serial, mode_name(mode));
-  }
+  const auto got = distributed_trajectory<double>(
+      params, p, steps, integration_scheme::standard);
+  expect_states_bitwise(got, serial, "uneven");
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, HaloUneven,
@@ -335,8 +315,8 @@ TEST(HaloFaults, ChaosRunBitEqualToCleanOracle) {
   const swm_params params = small_params();
   const int p = 4;
   const int steps = 10;
-  const auto oracle = distributed_trajectory<double>(
-      params, p, steps, integration_scheme::standard, halo_mode::per_field);
+  const auto oracle =
+      serial_trajectory<double>(params, steps, integration_scheme::standard);
 
   const auto init = initial_state<double>(params);
   state<double> got(params.nx, params.ny);
@@ -351,13 +331,12 @@ TEST(HaloFaults, ChaosRunBitEqualToCleanOracle) {
   w.set_faults(cfg);
   w.run([&](mpisim::communicator& comm) {
     distributed_model<double> dm(comm, params);
-    dm.set_halo_mode(halo_mode::aggregated_overlap);
     dm.set_from_global(init);
     dm.run(steps);
     auto global = dm.gather_global();
     if (comm.rank() == 0) got = std::move(global);
   });
-  expect_states_bitwise(got, oracle, "chaos overlap");
+  expect_states_bitwise(got, oracle, "chaos");
   EXPECT_GT(w.last_fault_report().stats.retries, 0u)
       << "the chaos schedule must actually have injected";
 }
@@ -377,7 +356,6 @@ TEST(HaloFaults, RecoveryReplaysOverPackedChannels) {
     w.set_faults(cfg);
     w.run([&](mpisim::communicator& comm) {
       distributed_model<double> dm(comm, params);
-      dm.set_halo_mode(halo_mode::aggregated_overlap);
       dm.set_from_global(init);
       if (resilient) {
         resilience_options opt;
@@ -418,16 +396,14 @@ TEST(HaloFaults, RecoveryReplaysOverPackedChannels) {
 
 namespace {
 
-/// Threaded virtual clocks of a `steps`-step run under `mode` with the
+/// Threaded virtual clocks of a `steps`-step run with the
 /// modeled-compute knob at `rhs_seconds`.
 std::vector<double> threaded_clocks(const swm_params& params, int p,
-                                    int steps, halo_mode mode,
-                                    double rhs_seconds) {
+                                    int steps, double rhs_seconds) {
   const auto init = initial_state<double>(params);
   mpisim::world w(p);
   w.run([&](mpisim::communicator& comm) {
     distributed_model<double> dm(comm, params);
-    dm.set_halo_mode(mode);
     dm.set_modeled_rhs_seconds(rhs_seconds);
     dm.set_from_global(init);
     dm.run(steps);
@@ -435,31 +411,33 @@ std::vector<double> threaded_clocks(const swm_params& params, int p,
   return w.final_clocks();
 }
 
+/// The modeled compute charges per RHS evaluation the DES pin runs:
+/// none (comm-only), light, and heavy enough for the interior rows to
+/// outlast the transfers.
+constexpr double des_rhs_seconds[] = {0.0, 3e-6, 20e-6};
+
 }  // namespace
 
-// (ranks, mode index)
+// (ranks, compute-charge index into des_rhs_seconds)
 class HaloDes : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(HaloDes, ThreadedClocksMatchDesTwin) {
-  const auto [p, mode_idx] = GetParam();
-  const halo_mode mode = all_modes[mode_idx];
+  const auto [p, charge_idx] = GetParam();
+  const double rhs_seconds = des_rhs_seconds[charge_idx];
   const swm_params params = small_params();
   ASSERT_EQ(params.ny % p, 0) << "the DES twin assumes uniform slabs";
   const int steps = 3;
-  const double rhs_seconds = 3e-6;
 
-  const auto threaded =
-      threaded_clocks(params, p, steps, mode, rhs_seconds);
+  const auto threaded = threaded_clocks(params, p, steps, rhs_seconds);
 
   mpisim::world w(p);  // only for net()/placement()
-  const auto prog =
-      make_halo_program(p, params.nx, sizeof(double), mode, steps,
-                        rhs_seconds, params.ny / p);
+  const auto prog = make_halo_program(p, params.nx, sizeof(double), steps,
+                                      rhs_seconds, params.ny / p);
   const auto des = mpisim::simulate(prog, w.net(), w.placement());
   ASSERT_EQ(des.clocks.size(), threaded.size());
   for (std::size_t r = 0; r < threaded.size(); ++r) {
     EXPECT_DOUBLE_EQ(threaded[r], des.clocks[r])
-        << mode_name(mode) << " rank " << r;
+        << "charge " << rhs_seconds << " rank " << r;
   }
 }
 
@@ -467,69 +445,50 @@ INSTANTIATE_TEST_SUITE_P(Modes, HaloDes,
                          ::testing::Combine(::testing::Values(2, 4, 8),
                                             ::testing::Values(0, 1, 2)));
 
-TEST(HaloTime, AggregationHalvesVirtualHaloTime) {
-  // With no modeled compute the step loop's virtual time is pure halo
-  // cost; aggregation must cut it by at least 2x at this small grid
-  // (the BENCH_halo.json acceptance criterion, pinned here).
-  const swm_params params = small_params();
-  const int p = 4;
-  const int steps = 5;
-  const auto per_field =
-      threaded_clocks(params, p, steps, halo_mode::per_field, 0.0);
-  const auto aggregated =
-      threaded_clocks(params, p, steps, halo_mode::aggregated, 0.0);
-  for (std::size_t r = 0; r < per_field.size(); ++r) {
-    EXPECT_GE(per_field[r], 2.0 * aggregated[r]) << "rank " << r;
-  }
-}
-
 TEST(HaloTime, OverlapHidesComputeInVirtualTime) {
-  // With a real compute charge, the overlapped engine finishes earlier
-  // than the non-overlapped aggregated one: the interior share of the
-  // charge runs while the payloads are in flight.
+  // With a real compute charge, the step loop finishes earlier than
+  // the same traffic and compute with nothing overlapped: the interior
+  // share of each charge runs while the payloads are in flight. The
+  // DES twin of a 2-row slab, which has no interior rows, charges all
+  // of it after finish() - the no-overlap schedule.
   const swm_params params = small_params();
   const int p = 4;
   const int steps = 5;
   const double rhs_seconds = 20e-6;
-  const auto aggregated =
-      threaded_clocks(params, p, steps, halo_mode::aggregated, rhs_seconds);
-  const auto overlap = threaded_clocks(params, p, steps,
-                                       halo_mode::aggregated_overlap,
-                                       rhs_seconds);
+  const auto overlap = threaded_clocks(params, p, steps, rhs_seconds);
+  mpisim::world w(p);  // only for net()/placement()
+  const auto serialized = mpisim::simulate(
+      make_halo_program(p, params.nx, sizeof(double), steps, rhs_seconds, 2),
+      w.net(), w.placement());
+  // The two schedules split the same charges differently, so their
+  // clocks may differ by rounding alone; overlap must win by more.
   for (std::size_t r = 0; r < overlap.size(); ++r) {
-    EXPECT_LT(overlap[r], aggregated[r]) << "rank " << r;
+    EXPECT_LT(overlap[r] + 1e-9, serialized.clocks[r]) << "rank " << r;
   }
 }
 
 TEST(HaloPerfmodel, PredictionMatchesMeasuredCounters) {
   REQUIRE_OBS_COMPILED();
   // predict_halo's messages/bytes must equal the measured obs counters
-  // exactly - per mode. Totals aggregate over p ranks and `steps`
-  // steps.
+  // exactly. Totals aggregate over p ranks and `steps` steps.
   const swm_params params = small_params();
   const int p = 4;
   const int steps = 5;
   const auto init = initial_state<double>(params);
-  for (const halo_mode mode : all_modes) {
-    obs_session session;
-    mpisim::world w(p);
-    w.run([&](mpisim::communicator& comm) {
-      distributed_model<double> dm(comm, params);
-      dm.set_halo_mode(mode);
-      dm.set_from_global(init);
-      dm.run(steps);
-    });
-    mpisim::world probe(p);  // a fresh world's net params (identical)
-    const halo_cost pred =
-        predict_halo(probe.net(), params.nx, sizeof(double), p, mode);
-    const std::uint64_t scale =
-        static_cast<std::uint64_t>(p) * static_cast<std::uint64_t>(steps);
-    EXPECT_EQ(counter_value("swm.halo_messages"), scale * pred.messages)
-        << mode_name(mode);
-    EXPECT_EQ(counter_value("swm.halo_bytes"), scale * pred.bytes)
-        << mode_name(mode);
-    EXPECT_EQ(counter_value("swm.dist_steps"), scale) << mode_name(mode);
-  }
+  obs_session session;
+  mpisim::world w(p);
+  w.run([&](mpisim::communicator& comm) {
+    distributed_model<double> dm(comm, params);
+    dm.set_from_global(init);
+    dm.run(steps);
+  });
+  const halo_cost pred =
+      predict_halo(w.net(), params.nx, sizeof(double), p);
+  const std::uint64_t scale =
+      static_cast<std::uint64_t>(p) * static_cast<std::uint64_t>(steps);
+  EXPECT_EQ(counter_value("swm.halo_messages"), scale * pred.messages);
+  EXPECT_EQ(counter_value("swm.halo_bytes"), scale * pred.bytes);
+  EXPECT_EQ(counter_value("swm.dist_steps"), scale);
 }
 
 TEST(HaloPerfmodel, PlacementAwarePredictionMatchesMeasuredCounters) {
@@ -544,32 +503,26 @@ TEST(HaloPerfmodel, PlacementAwarePredictionMatchesMeasuredCounters) {
   const mpisim::torus_placement place({2, 2, 1}, 1);
   const int p = place.rank_count();
   const auto init = initial_state<double>(params);
-  for (const halo_mode mode : all_modes) {
-    obs_session session;
-    mpisim::world w(place, mpisim::tofud_params{});
-    w.run([&](mpisim::communicator& comm) {
-      distributed_model<double> dm(comm, params);
-      dm.set_halo_mode(mode);
-      dm.set_from_global(init);
-      dm.run(steps);
-    });
-    const mpisim::tofud_params net;
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    for (int r = 0; r < p; ++r) {
-      const halo_cost placed =
-          predict_halo(net, place, r, params.nx, sizeof(double), p, mode);
-      messages += placed.messages;
-      bytes += placed.bytes;
-      EXPECT_GE(placed.contended_seconds, placed.seconds)
-          << mode_name(mode) << " rank " << r;
-    }
-    const auto scale = static_cast<std::uint64_t>(steps);
-    EXPECT_EQ(counter_value("swm.halo_messages"), scale * messages)
-        << mode_name(mode);
-    EXPECT_EQ(counter_value("swm.halo_bytes"), scale * bytes)
-        << mode_name(mode);
+  obs_session session;
+  mpisim::world w(place, mpisim::tofud_params{});
+  w.run([&](mpisim::communicator& comm) {
+    distributed_model<double> dm(comm, params);
+    dm.set_from_global(init);
+    dm.run(steps);
+  });
+  const mpisim::tofud_params net;
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  for (int r = 0; r < p; ++r) {
+    const halo_cost placed =
+        predict_halo(net, place, r, params.nx, sizeof(double), p);
+    messages += placed.messages;
+    bytes += placed.bytes;
+    EXPECT_GE(placed.contended_seconds, placed.seconds) << "rank " << r;
   }
+  const auto scale = static_cast<std::uint64_t>(steps);
+  EXPECT_EQ(counter_value("swm.halo_messages"), scale * messages);
+  EXPECT_EQ(counter_value("swm.halo_bytes"), scale * bytes);
 }
 
 TEST(HaloPerfmodel, MessageArithmetic) {
