@@ -23,6 +23,24 @@
 /// rank's slab rows - calling the five row-range passes itself, around
 /// its halo exchanges (swm/distributed.hpp).
 ///
+/// Loop contract (docs/MODEL.md): per row, a pass takes the row
+/// pointers it reads and writes once, with the coefficients hoisted
+/// into scalar locals (a local copy of the whole coefficients struct
+/// measured ~10 % slower), and runs its columns through
+/// for_each_column. The two periodic wrap columns (i = 0 and
+/// i = nx - 1) are peeled and run with their wrapped neighbours; the
+/// interior columns read i - 1 and i + 1 straight from the row
+/// pointers, contiguous memory the compiler vectorizes at the build
+/// target's width. The interior loop carries a no-alias promise
+/// (`#pragma GCC ivdep`) that rests on one invariant: no pass writes
+/// an array it reads. The vectorized loops are bit-identical to the
+/// scalar ones for the reason the element-wise sweeps are
+/// (docs/KERNELS.md § 4): every element keeps its exact expression and
+/// operation order, lanes only evaluate several elements at once, the
+/// build pins -ffp-contract=off, and nothing reassociates. SwmGolden
+/// (tests/swm_model_test) pins the trajectories recorded from the
+/// scalar loops at every precision.
+///
 /// Boundary conditions: doubly periodic by default; the channel option
 /// (params.hpp) places free-slip solid walls at y = 0 and y = Ly. On
 /// this C-grid layout the north-wall v-points coincide with the wrapped
@@ -33,6 +51,7 @@
 /// antisymmetric v ghost making lap_v vanish on the wall row, and (c)
 /// forcing dv = 0 on the wall row.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
@@ -182,19 +201,23 @@ class rhs_evaluator {
     const auto& U = st.u;
     const auto& V = st.v;
     const auto& H = st.eta;
-    const coefficients<T>& c = coeffs_;
+    const T half = coeffs_.half;
+    const T inv_s = coeffs_.inv_s;
     for (int j = j0; j < j1; ++j) {
       const int jm = channel_ && j == 0 ? 0 : H.jm(j);  // u mirrored at wall
       const int jp = H.jp(j);
-      for (int i = 0; i < nx; ++i) {
-        const int im = H.im(i);
-        const int ip = H.ip(i);
-        zeta_(i, j) = (V(i, j) - V(im, j)) - (U(i, j) - U(i, jm));
-        const T ubar = c.half * (U(i, j) + U(ip, j));
-        const T vbar = c.half * (V(i, j) + V(i, jp));
-        ke_(i, j) = c.half * (ubar * (c.inv_s * ubar) +
-                              vbar * (c.inv_s * vbar));
-      }
+      const T* u = &U(0, j);
+      const T* u_s = &U(0, jm);
+      const T* v = &V(0, j);
+      const T* v_n = &V(0, jp);
+      T* zeta = &zeta_(0, j);
+      T* ke = &ke_(0, j);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        zeta[i] = (v[i] - v[im]) - (u[i] - u_s[i]);
+        const T ubar = half * (u[i] + u[ip]);
+        const T vbar = half * (v[i] + v_n[i]);
+        ke[i] = half * (ubar * (inv_s * ubar) + vbar * (inv_s * vbar));
+      });
     }
   }
 
@@ -207,22 +230,30 @@ class rhs_evaluator {
     const int ny = st.ny();
     const auto& U = st.u;
     const auto& V = st.v;
+    const T four = T(4);
     for (int j = j0; j < j1; ++j) {
       const int jm = U.jm(j);
       const int jp = U.jp(j);
       const int jm_u = channel_ && j == 0 ? 0 : jm;
       const int jp_u = channel_ && j == ny - 1 ? j : jp;
-      const bool wall_v = channel_ && j == 0;
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
-        const T four = T(4);
-        lap_u_(i, j) = U(ip, j) + U(im, j) + U(i, jp_u) + U(i, jm_u) -
-                       four * U(i, j);
-        lap_v_(i, j) = wall_v ? T{}
-                              : V(ip, j) + V(im, j) + V(i, jp) + V(i, jm) -
-                                    four * V(i, j);
+      const T* u = &U(0, j);
+      const T* u_n = &U(0, jp_u);
+      const T* u_s = &U(0, jm_u);
+      T* lap_u = &lap_u_(0, j);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        lap_u[i] = u[ip] + u[im] + u_n[i] + u_s[i] - four * u[i];
+      });
+      T* lap_v = &lap_v_(0, j);
+      if (channel_ && j == 0) {  // the wall row
+        std::fill(lap_v, lap_v + nx, T{});
+        continue;
       }
+      const T* v = &V(0, j);
+      const T* v_n = &V(0, jp);
+      const T* v_s = &V(0, jm);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        lap_v[i] = v[ip] + v[im] + v_n[i] + v_s[i] - four * v[i];
+      });
     }
   }
 
@@ -234,32 +265,47 @@ class rhs_evaluator {
     const auto& U = st.u;
     const auto& V = st.v;
     const auto& H = st.eta;
-    const coefficients<T>& c = coeffs_;
+    const T half = coeffs_.half;
+    const T quarter = coeffs_.quarter;
+    const T inv_s = coeffs_.inv_s;
+    const T dtdx = coeffs_.dtdx;
+    const T g_dtdx = coeffs_.g_dtdx;
+    const T dt_drag = coeffs_.dt_drag;
+    const T dt_visc = coeffs_.dt_visc;
+    const T four = T(4);
     for (int j = j0; j < j1; ++j) {
       const int jp = U.jp(j);
       const int jm = channel_ && j == 0 ? 0 : U.jm(j);
       const int jp_u = channel_ && j == ny - 1 ? j : jp;
       const T dtf = dt_cor_u_[static_cast<std::size_t>(j)];
       const T wind = wind_u_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < nx; ++i) {
-        const int im = U.im(i);
-        const int ip = U.ip(i);
+      const T* u = &U(0, j);
+      const T* v = &V(0, j);
+      const T* v_n = &V(0, jp);
+      const T* h = &H(0, j);
+      const T* zeta = &zeta_(0, j);
+      const T* zeta_n = &zeta_(0, jp);
+      const T* ke = &ke_(0, j);
+      const T* lap = &lap_u_(0, j);
+      const T* lap_n = &lap_u_(0, jp_u);
+      const T* lap_s = &lap_u_(0, jm);
+      T* du = &out.du(0, j);
+      for_each_column(nx, [&](int i, int im, int ip) {
         // v averaged to the u-point; vorticity averaged to the u-point.
-        const T vbar = c.quarter *
-                       (V(im, j) + V(i, j) + V(im, jp) + V(i, jp));
+        const T vbar = quarter * (v[im] + v[i] + v_n[im] + v_n[i]);
         // De-scale the vorticity factor (exact) before the product so
         // zbar*vbar carries scale s, not s^2.
-        const T zbar = c.inv_s * (c.half * (zeta_(i, j) + zeta_(i, jp)));
-        const T biharm = lap_u_(ip, j) + lap_u_(im, j) + lap_u_(i, jp_u) +
-                         lap_u_(i, jm) - T(4) * lap_u_(i, j);
-        out.du(i, j) = dtf * vbar                        // linear Coriolis
-                       + c.dtdx * (zbar * vbar)          // vorticity advection
-                       - c.g_dtdx * (H(i, j) - H(im, j)) // pressure gradient
-                       - c.dtdx * (ke_(i, j) - ke_(im, j))  // KE gradient
-                       + wind                             // wind stress
-                       - c.dt_drag * U(i, j)              // bottom drag
-                       - c.dt_visc * biharm;              // biharmonic
-      }
+        const T zbar = inv_s * (half * (zeta[i] + zeta_n[i]));
+        const T biharm =
+            lap[ip] + lap[im] + lap_n[i] + lap_s[i] - four * lap[i];
+        du[i] = dtf * vbar                      // linear Coriolis
+                + dtdx * (zbar * vbar)          // vorticity advection
+                - g_dtdx * (h[i] - h[im])       // pressure gradient
+                - dtdx * (ke[i] - ke[im])       // KE gradient
+                + wind                          // wind stress
+                - dt_drag * u[i]                // bottom drag
+                - dt_visc * biharm;             // biharmonic
+      });
     }
   }
 
@@ -271,30 +317,47 @@ class rhs_evaluator {
     const auto& U = st.u;
     const auto& V = st.v;
     const auto& H = st.eta;
-    const coefficients<T>& c = coeffs_;
+    const T half = coeffs_.half;
+    const T quarter = coeffs_.quarter;
+    const T inv_s = coeffs_.inv_s;
+    const T dtdx = coeffs_.dtdx;
+    const T dtdy = coeffs_.dtdy;
+    const T g_dtdy = coeffs_.g_dtdy;
+    const T dt_drag = coeffs_.dt_drag;
+    const T dt_visc = coeffs_.dt_visc;
+    const T four = T(4);
     for (int j = j0; j < j1; ++j) {
+      T* dv = &out.dv(0, j);
       if (channel_ && j == 0) {
-        for (int i = 0; i < nx; ++i) out.dv(i, j) = T{};
+        std::fill(dv, dv + nx, T{});
         continue;
       }
       const int jm = V.jm(j);
       const int jp = V.jp(j);
       const T dtf = dt_cor_v_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < nx; ++i) {
-        const int im = V.im(i);
-        const int ip = V.ip(i);
-        const T ubar = c.quarter *
-                       (U(i, jm) + U(i, j) + U(ip, jm) + U(ip, j));
-        const T zbar = c.inv_s * (c.half * (zeta_(i, j) + zeta_(ip, j)));
-        const T biharm = lap_v_(ip, j) + lap_v_(im, j) + lap_v_(i, jp) +
-                         lap_v_(i, jm) - T(4) * lap_v_(i, j);
-        out.dv(i, j) = -dtf * ubar
-                       - c.dtdx * (zbar * ubar)
-                       - c.g_dtdy * (H(i, j) - H(i, jm))
-                       - c.dtdy * (ke_(i, j) - ke_(i, jm))
-                       - c.dt_drag * V(i, j)
-                       - c.dt_visc * biharm;
-      }
+      const T* u = &U(0, j);
+      const T* u_s = &U(0, jm);
+      const T* v = &V(0, j);
+      const T* h = &H(0, j);
+      const T* h_s = &H(0, jm);
+      const T* zeta = &zeta_(0, j);
+      const T* ke = &ke_(0, j);
+      const T* ke_s = &ke_(0, jm);
+      const T* lap = &lap_v_(0, j);
+      const T* lap_n = &lap_v_(0, jp);
+      const T* lap_s = &lap_v_(0, jm);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        const T ubar = quarter * (u_s[i] + u[i] + u_s[ip] + u[ip]);
+        const T zbar = inv_s * (half * (zeta[i] + zeta[ip]));
+        const T biharm =
+            lap[ip] + lap[im] + lap_n[i] + lap_s[i] - four * lap[i];
+        dv[i] = -dtf * ubar
+                - dtdx * (zbar * ubar)
+                - g_dtdy * (h[i] - h_s[i])
+                - dtdy * (ke[i] - ke_s[i])
+                - dt_drag * v[i]
+                - dt_visc * biharm;
+      });
     }
   }
 
@@ -306,29 +369,59 @@ class rhs_evaluator {
     const auto& U = st.u;
     const auto& V = st.v;
     const auto& H = st.eta;
-    const coefficients<T>& c = coeffs_;
+    const T half = coeffs_.half;
+    const T inv_s = coeffs_.inv_s;
+    const T dtdx = coeffs_.dtdx;
+    const T dtdy = coeffs_.dtdy;
+    const T h0_dtdx = coeffs_.h0_dtdx;
+    const T h0_dtdy = coeffs_.h0_dtdy;
     for (int j = j0; j < j1; ++j) {
       const int jm = H.jm(j);
       const int jp = H.jp(j);
-      for (int i = 0; i < nx; ++i) {
-        const int im = H.im(i);
-        const int ip = H.ip(i);
-        const T div =
-            c.h0_dtdx * (U(ip, j) - U(i, j)) +
-            c.h0_dtdy * (V(i, jp) - V(i, j));
+      const T* u = &U(0, j);
+      const T* v = &V(0, j);
+      const T* v_n = &V(0, jp);
+      const T* h = &H(0, j);
+      const T* h_n = &H(0, jp);
+      const T* h_s = &H(0, jm);
+      T* deta = &out.deta(0, j);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        const T div = h0_dtdx * (u[ip] - u[i]) + h0_dtdy * (v_n[i] - v[i]);
         // Fluxes u*eta at faces: de-scale the interpolated eta (exact)
         // so U * etabar carries scale s, not s^2.
-        const T fx_e = U(ip, j) * (c.inv_s * (c.half * (H(i, j) + H(ip, j))));
-        const T fx_w = U(i, j) * (c.inv_s * (c.half * (H(im, j) + H(i, j))));
-        const T fy_n = V(i, jp) * (c.inv_s * (c.half * (H(i, j) + H(i, jp))));
-        const T fy_s = V(i, j) * (c.inv_s * (c.half * (H(i, jm) + H(i, j))));
-        out.deta(i, j) = -div - c.dtdx * (fx_e - fx_w) -
-                         c.dtdy * (fy_n - fy_s);
-      }
+        const T fx_e = u[ip] * (inv_s * (half * (h[i] + h[ip])));
+        const T fx_w = u[i] * (inv_s * (half * (h[im] + h[i])));
+        const T fy_n = v_n[i] * (inv_s * (half * (h[i] + h_n[i])));
+        const T fy_s = v[i] * (inv_s * (half * (h_s[i] + h[i])));
+        deta[i] = -div - dtdx * (fx_e - fx_w) - dtdy * (fy_n - fy_s);
+      });
     }
   }
 
  private:
+  /// Run `cell(i, im, ip)` over the columns of one row, im/ip being
+  /// the periodic x-neighbours of i. The two wrap columns are peeled
+  /// (for nx == 1 the one column is its own neighbour on both sides);
+  /// the interior loop reads i - 1 and i + 1 directly, so the
+  /// compiler sees contiguous unit-stride accesses and vectorizes it.
+  ///
+  /// The ivdep promise (no loop-carried dependence, no alias between
+  /// what an iteration writes and what any other reads) rests on the
+  /// evaluator's invariant that no pass writes an array it reads:
+  /// passes 1-2 write only the evaluator's derived fields and read
+  /// only the state; passes 3-5 write only the tendencies and read the
+  /// state and the derived fields. Without it GCC's runtime alias
+  /// checks give up on the v-momentum pass and leave it scalar.
+  template <typename Cell>
+  static void for_each_column(int nx, const Cell& cell) {
+    cell(0, nx - 1, nx > 1 ? 1 : 0);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC ivdep
+#endif
+    for (int i = 1; i < nx - 1; ++i) cell(i, i - 1, i + 1);
+    if (nx > 1) cell(nx - 1, nx - 2, 0);
+  }
+
   struct pass_ctx {
     rhs_evaluator* self = nullptr;
     const grid_state* st = nullptr;

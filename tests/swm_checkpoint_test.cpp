@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fp/bfloat16.hpp"
@@ -28,7 +29,17 @@ swm_params small_params() {
   return p;
 }
 
-const char* tmp_path() { return "/tmp/tfx_checkpoint_test.bin"; }
+/// One file per test, valid for the whole test: ctest runs these tests
+/// as parallel processes, and a shared file let one test's save or
+/// load race another's.
+const char* tmp_path() {
+  static std::string path;
+  const auto* t = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string want = std::string("/tmp/tfx_checkpoint_test_") +
+                     t->test_suite_name() + "_" + t->name() + ".bin";
+  if (path != want) path = std::move(want);
+  return path.c_str();
+}
 
 }  // namespace
 

@@ -96,7 +96,44 @@ TEST_P(DistributedRanks, CompensatedSchemeAlsoBitEqual) {
     const auto global = dm.gather_global();
     for (int j = 0; j < params.ny; ++j) {
       for (int i = 0; i < params.nx; ++i) {
+        ASSERT_EQ(global.u(i, j), serial.u(i, j)) << i << "," << j;
+        ASSERT_EQ(global.v(i, j), serial.v(i, j)) << i << "," << j;
         ASSERT_EQ(global.eta(i, j), serial.eta(i, j)) << i << "," << j;
+      }
+    }
+  });
+}
+
+TEST_P(DistributedRanks, Float16CompensatedBitEqualToSerial) {
+  // Float16 flushes subnormal results per thread (A64FX FZ16), so the
+  // serial oracle and every rank thread run under the same flush mode.
+  const int p = GetParam();
+  swm_params params = small_params();
+  params.log2_scale = 12;
+  const int steps = 10;
+  state<float16> init, serial;
+  {
+    fp::ftz_guard ftz(fp::ftz_mode::flush);
+    init = initial_state<float16>(params);
+    serial = serial_trajectory<float16>(params, steps,
+                                        integration_scheme::compensated);
+  }
+  mpisim::world w(p);
+  w.run([&](mpisim::communicator& comm) {
+    fp::ftz_guard ftz(fp::ftz_mode::flush);
+    distributed_model<float16> dm(comm, params,
+                                  integration_scheme::compensated);
+    dm.set_from_global(init);
+    dm.run(steps);
+    const auto global = dm.gather_global();
+    for (int j = 0; j < params.ny; ++j) {
+      for (int i = 0; i < params.nx; ++i) {
+        ASSERT_EQ(global.u(i, j).bits(), serial.u(i, j).bits())
+            << i << "," << j;
+        ASSERT_EQ(global.v(i, j).bits(), serial.v(i, j).bits())
+            << i << "," << j;
+        ASSERT_EQ(global.eta(i, j).bits(), serial.eta(i, j).bits())
+            << i << "," << j;
       }
     }
   });

@@ -1,11 +1,11 @@
 // The aggregated, overlapped halo engine (swm/halo.hpp): packed
 // exchanges move the right rows, the distributed model reproduces the
-// serial model bit-for-bit (standard, compensated, Float16, uneven
-// decompositions, under chaos, and through crash/rollback recovery),
-// the threaded virtual clocks pin against the DES twin, overlap hides
-// compute in virtual time, the perfmodel's halo term matches the
-// measured obs counters exactly, and the engine is allocation-free
-// after warmup.
+// serial model bit-for-bit under chaos and through crash/rollback
+// recovery (the clean standard, compensated, Float16 and uneven cases
+// are swm_distributed_test's), the threaded virtual clocks pin against
+// the DES twin, overlap hides compute in virtual time, the perfmodel's
+// halo term matches the measured obs counters exactly, and the engine
+// is allocation-free after warmup.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include <tuple>
 #include <vector>
 
-#include "fp/float16.hpp"
-#include "fp/fpenv.hpp"
 #include "mpisim/collectives.hpp"
 #include "mpisim/des.hpp"
 #include "mpisim/faultplane.hpp"
@@ -33,7 +31,6 @@
 
 using namespace tfx;
 using namespace tfx::swm;
-using tfx::fp::float16;
 
 // -- global allocation counter for the warmup test --------------------
 // Counting only: every operator still defers to malloc/free, so the
@@ -83,23 +80,6 @@ state<T> initial_state(const swm_params& p) {
   model<T> m(p);
   m.seed_random_eddies(7, 0.5);
   return m.prognostic();
-}
-
-/// Distributed trajectory, gathered to a global state.
-template <typename T>
-state<T> distributed_trajectory(const swm_params& params, int p, int steps,
-                                integration_scheme scheme) {
-  const auto init = initial_state<T>(params);
-  state<T> out(params.nx, params.ny);
-  mpisim::world w(p);
-  w.run([&](mpisim::communicator& comm) {
-    distributed_model<T> dm(comm, params, scheme);
-    dm.set_from_global(init);
-    dm.run(steps);
-    auto global = dm.gather_global();
-    if (comm.rank() == 0) out = std::move(global);
-  });
-  return out;
 }
 
 template <typename T>
@@ -191,96 +171,6 @@ TEST(HaloEngine, SingleRankWrapsPeriodically) {
     EXPECT_EQ(ex.messages_sent(), 0u);  // the wrap is local
   });
 }
-
-// ---------------------------------------------------------------------------
-// Tentpole property: the distributed model, halos on the packed
-// overlapped engine, is bit-identical to the serial model.
-// ---------------------------------------------------------------------------
-
-class HaloModeRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(HaloModeRanks, AllModesBitEqualToSerialFloat64) {
-  const int p = GetParam();
-  const swm_params params = small_params();
-  const int steps = 20;
-  const auto serial =
-      serial_trajectory<double>(params, steps, integration_scheme::standard);
-  const auto got = distributed_trajectory<double>(
-      params, p, steps, integration_scheme::standard);
-  expect_states_bitwise(got, serial, "standard");
-}
-
-TEST_P(HaloModeRanks, CompensatedSchemeAlsoBitEqual) {
-  const int p = GetParam();
-  const swm_params params = small_params();
-  const int steps = 12;
-  const auto serial = serial_trajectory<double>(
-      params, steps, integration_scheme::compensated);
-  const auto got = distributed_trajectory<double>(
-      params, p, steps, integration_scheme::compensated);
-  expect_states_bitwise(got, serial, "compensated");
-}
-
-TEST_P(HaloModeRanks, Float16CompensatedBitEqualToSerial) {
-  // Float16 flushes subnormal results per thread (A64FX FZ16), so the
-  // serial oracle and every rank thread run under the same flush mode.
-  const int p = GetParam();
-  swm_params params = small_params();
-  params.log2_scale = 12;
-  const int steps = 10;
-  state<float16> init, serial;
-  {
-    fp::ftz_guard ftz(fp::ftz_mode::flush);
-    init = initial_state<float16>(params);
-    serial = serial_trajectory<float16>(params, steps,
-                                        integration_scheme::compensated);
-  }
-  state<float16> got(params.nx, params.ny);
-  mpisim::world w(p);
-  w.run([&](mpisim::communicator& comm) {
-    fp::ftz_guard ftz(fp::ftz_mode::flush);
-    distributed_model<float16> dm(comm, params,
-                                  integration_scheme::compensated);
-    dm.set_from_global(init);
-    dm.run(steps);
-    auto global = dm.gather_global();
-    if (comm.rank() == 0) got = std::move(global);
-  });
-  for (int j = 0; j < params.ny; ++j) {
-    for (int i = 0; i < params.nx; ++i) {
-      ASSERT_EQ(got.u(i, j).bits(), serial.u(i, j).bits()) << i << "," << j;
-      ASSERT_EQ(got.v(i, j).bits(), serial.v(i, j).bits()) << i << "," << j;
-      ASSERT_EQ(got.eta(i, j).bits(), serial.eta(i, j).bits())
-          << i << "," << j;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, HaloModeRanks,
-                         ::testing::Values(1, 2, 4, 8));
-
-// (nx, ny, p): uneven slab heights and odd widths.
-class HaloUneven
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(HaloUneven, UnevenDecompositionBitEqualAcrossModes) {
-  const auto [nx, ny, p] = GetParam();
-  swm_params params;
-  params.nx = nx;
-  params.ny = ny;
-  params.Ly = params.Lx * ny / nx;  // keep the cells square (dx == dy)
-  const int steps = 8;
-  const auto serial =
-      serial_trajectory<double>(params, steps, integration_scheme::standard);
-  const auto got = distributed_trajectory<double>(
-      params, p, steps, integration_scheme::standard);
-  expect_states_bitwise(got, serial, "uneven");
-}
-
-INSTANTIATE_TEST_SUITE_P(Grids, HaloUneven,
-                         ::testing::Values(std::make_tuple(31, 18, 4),
-                                           std::make_tuple(33, 11, 3),
-                                           std::make_tuple(32, 17, 5)));
 
 // ---------------------------------------------------------------------------
 // Fault-plane compatibility of the packed channels.

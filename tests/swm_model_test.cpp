@@ -1,15 +1,27 @@
 // Shallow-water model: discrete operators, conservation, stability,
-// determinism, and the exactness of the power-of-two scaling.
+// determinism, the exactness of the power-of-two scaling, and golden
+// trajectory hashes at every precision.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <type_traits>
+#include <vector>
 
+#include "core/threadpool.hpp"
+#include "fp/float16.hpp"
+#include "fp/fpenv.hpp"
+#include "fp/sherlog.hpp"
 #include "swm/diagnostics.hpp"
 #include "swm/model.hpp"
 #include "swm/output.hpp"
 
 using namespace tfx::swm;
+using tfx::thread_pool;
+using tfx::fp::float16;
+namespace fp = tfx::fp;
 
 namespace {
 
@@ -217,6 +229,264 @@ TEST(Model, GravityWaveDispersionMatchesTheory) {
       2.0 * (t_last - t_first) / (crossings - 1);
   EXPECT_NEAR(measured_period, period, 0.05 * period);
 }
+
+// ---------------------------------------------------------------------------
+// Golden trajectories. Every other bit-identity check is relative
+// (distributed vs serial, pool vs pool, batched vs standalone); these
+// FNV-1a hashes pin the arithmetic itself. Each case runs the serial
+// model from the seeded eddies on a pool of 1 and a pool of 2 and
+// hashes the prognostic and Kahan compensation values - and for
+// Sherlog the exponent histogram the run filled, merged over the
+// pool's threads. nx covers the periodic wrap-column edge cases (one,
+// two and three columns) and an odd remainder; dx == dy throughout.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+enum class personality {
+  Float64,
+  Float32,
+  Float64_comp,
+  Float32_64,  ///< model<float, double>
+  Float16_comp,
+  Float16_32,  ///< model<float16, float>
+  Sherlog32,
+};
+
+const char* personality_name(personality k) {
+  switch (k) {
+    case personality::Float64: return "Float64";
+    case personality::Float32: return "Float32";
+    case personality::Float64_comp: return "Float64_comp";
+    case personality::Float32_64: return "Float32_64";
+    case personality::Float16_comp: return "Float16_comp";
+    case personality::Float16_32: return "Float16_32";
+    case personality::Sherlog32: return "Sherlog32";
+  }
+  return "?";
+}
+
+struct golden_case {
+  personality kind;
+  boundary bc;
+  int nx;
+  std::uint64_t state_hash;  ///< prognostic + compensation values
+  std::uint64_t sink_hash;   ///< sherlog_sink() histogram (Sherlog only)
+};
+
+std::string case_name(const golden_case& c) {
+  return std::string(personality_name(c.kind)) +
+         (c.bc == boundary::channel ? "_channel" : "_periodic") + "_nx" +
+         std::to_string(c.nx);
+}
+
+void PrintTo(const golden_case& c, std::ostream* os) { *os << case_name(c); }
+
+constexpr int golden_ny = 8;
+constexpr int golden_steps = 8;
+
+struct fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t k = 0; k < n; ++k) {
+      h ^= b[k];
+      h *= 1099511628211ull;
+    }
+  }
+
+  template <typename V>
+  void fields(const state<V>& s) {
+    for (const auto* f : {&s.u, &s.v, &s.eta}) {
+      for (const V& x : f->flat()) bytes(&x, sizeof x);
+    }
+  }
+
+  void histogram(const fp::exponent_histogram& hist) {
+    const std::uint64_t head[] = {hist.zeros(), hist.nonfinite()};
+    bytes(head, sizeof head);
+    for (int e = fp::exponent_histogram::min_exponent;
+         e <= fp::exponent_histogram::max_exponent; ++e) {
+      const std::uint64_t n = hist.count(e);
+      bytes(&n, sizeof n);
+    }
+  }
+};
+
+struct golden_hashes {
+  std::uint64_t state = 0;
+  std::uint64_t sink = 0;
+};
+
+/// Run `fn(worker)` once on every thread of `pool`, caller included.
+template <typename Fn>
+void on_each_worker(thread_pool& pool, const Fn& fn) {
+  const auto body = [&fn](int w, std::size_t, std::size_t) { fn(w); };
+  const auto t = thread_pool::task::over_indexed(
+      static_cast<std::size_t>(pool.size()), body);
+  pool.parallel_region({&t, 1});
+}
+
+template <typename T, typename Tprog = T>
+golden_hashes run_golden(const swm_params& p, integration_scheme scheme,
+                         int threads) {
+  thread_pool pool(threads);
+  on_each_worker(pool, [](int) { fp::sherlog_sink().reset(); });
+  model<T, Tprog> m(p, scheme);
+  m.attach_pool(&pool);
+  m.seed_random_eddies(7, 0.5);
+  m.run(golden_steps);
+  EXPECT_TRUE(m.diag().finite);
+  fnv1a st;
+  st.fields(m.prognostic());
+  st.fields(m.compensation());
+  golden_hashes out{st.h, 0};
+  if constexpr (std::is_same_v<T, fp::sherlog32>) {
+    std::vector<fp::exponent_histogram> parts(
+        static_cast<std::size_t>(threads));
+    on_each_worker(pool, [&parts](int w) {
+      parts[static_cast<std::size_t>(w)] = fp::sherlog_sink();
+    });
+    fp::exponent_histogram all;
+    for (const auto& part : parts) all.merge(part);
+    fnv1a sink;
+    sink.histogram(all);
+    out.sink = sink.h;
+  }
+  return out;
+}
+
+golden_hashes run_case(const golden_case& c, int threads) {
+  swm_params p;
+  p.nx = c.nx;
+  p.ny = golden_ny;
+  p.Lx = p.Ly * c.nx / golden_ny;  // square cells (dx == dy)
+  p.bc = c.bc;
+  using scheme = integration_scheme;
+  // Float16 flushes subnormal results (A64FX FZ16); the RHS carries
+  // the caller's mode into the pool's workers. The mode is read by the
+  // soft-float types only.
+  fp::ftz_guard ftz(fp::ftz_mode::flush);
+  switch (c.kind) {
+    case personality::Float64:
+      return run_golden<double>(p, scheme::standard, threads);
+    case personality::Float32:
+      return run_golden<float>(p, scheme::standard, threads);
+    case personality::Float64_comp:
+      return run_golden<double>(p, scheme::compensated, threads);
+    case personality::Float32_64:
+      return run_golden<float, double>(p, scheme::standard, threads);
+    case personality::Float16_comp:
+      p.log2_scale = 12;
+      return run_golden<float16>(p, scheme::compensated, threads);
+    case personality::Float16_32:
+      p.log2_scale = 12;
+      return run_golden<float16, float>(p, scheme::standard, threads);
+    case personality::Sherlog32:
+      return run_golden<fp::sherlog32>(p, scheme::standard, threads);
+  }
+  return {};
+}
+
+// Recorded from the scalar-loop RHS, every x-neighbour read through
+// the periodic im/ip wrap. Sherlog32 computes Float32's values (it
+// records, it does not round differently), so their state hashes agree.
+using enum personality;
+using enum boundary;
+constexpr golden_case golden_cases[] = {
+    {Float64, periodic, 1, 0x7f11aab2a8d2aaaull, 0},
+    {Float64, periodic, 2, 0x42df5ecccee318c1ull, 0},
+    {Float64, periodic, 3, 0x6b2ce7fddf6fd696ull, 0},
+    {Float64, periodic, 33, 0x59b2e1032d395df8ull, 0},
+    {Float64, periodic, 64, 0x9c07d554b48cbc06ull, 0},
+    {Float64, channel, 1, 0xd1b4b4cc200623cfull, 0},
+    {Float64, channel, 2, 0x56ca3804a2c0839aull, 0},
+    {Float64, channel, 3, 0x4d8d0944a4183b49ull, 0},
+    {Float64, channel, 33, 0xa9c39971a73ee669ull, 0},
+    {Float64, channel, 64, 0xc1c1162238451afeull, 0},
+    {Float32, periodic, 1, 0xaf75cdf5352ae383ull, 0},
+    {Float32, periodic, 2, 0xb1a040f3407c5d61ull, 0},
+    {Float32, periodic, 3, 0x67a12a835c9b1d74ull, 0},
+    {Float32, periodic, 33, 0xb385e8aa685053a4ull, 0},
+    {Float32, periodic, 64, 0xfcabc683db0be88dull, 0},
+    {Float32, channel, 1, 0xea1e2d7effa12abcull, 0},
+    {Float32, channel, 2, 0xe1f643f86935cc42ull, 0},
+    {Float32, channel, 3, 0x16acf407060dc759ull, 0},
+    {Float32, channel, 33, 0x72ee68438768f96eull, 0},
+    {Float32, channel, 64, 0x15850a9800b7179eull, 0},
+    {Float64_comp, periodic, 1, 0xb3c68f698ac5fc7dull, 0},
+    {Float64_comp, periodic, 2, 0xa090884697dcf818ull, 0},
+    {Float64_comp, periodic, 3, 0x1038fbe3d8475becull, 0},
+    {Float64_comp, periodic, 33, 0x95e9ac5c250da9c9ull, 0},
+    {Float64_comp, periodic, 64, 0xa72f93b0c9a132d9ull, 0},
+    {Float64_comp, channel, 1, 0xac5ea5f1a2feba93ull, 0},
+    {Float64_comp, channel, 2, 0x18828c84e0e91e5eull, 0},
+    {Float64_comp, channel, 3, 0xd4080c43b6a6a5f7ull, 0},
+    {Float64_comp, channel, 33, 0x7543e552353c800dull, 0},
+    {Float64_comp, channel, 64, 0x682cfa75d635af45ull, 0},
+    {Float32_64, periodic, 1, 0x4f62ebf2aa5c9742ull, 0},
+    {Float32_64, periodic, 2, 0xbef1cf5a2f5bb803ull, 0},
+    {Float32_64, periodic, 3, 0x6c8b1870da4ab281ull, 0},
+    {Float32_64, periodic, 33, 0x6563fe399665767dull, 0},
+    {Float32_64, periodic, 64, 0x57d680f1c7fd823ull, 0},
+    {Float32_64, channel, 1, 0x9931438a8664cf99ull, 0},
+    {Float32_64, channel, 2, 0x5d424335300bed21ull, 0},
+    {Float32_64, channel, 3, 0x2fd388cbad10e885ull, 0},
+    {Float32_64, channel, 33, 0x9d02c8e961393388ull, 0},
+    {Float32_64, channel, 64, 0xdce170e3958c17e1ull, 0},
+    {Float16_comp, periodic, 1, 0x726b440aa5f16f47ull, 0},
+    {Float16_comp, periodic, 2, 0x2e40d4378427fc1bull, 0},
+    {Float16_comp, periodic, 3, 0x99f8a6398891282aull, 0},
+    {Float16_comp, periodic, 33, 0xb3cc378be031a019ull, 0},
+    {Float16_comp, periodic, 64, 0x6c1521cb05337469ull, 0},
+    {Float16_comp, channel, 1, 0xf07fbc439b13326aull, 0},
+    {Float16_comp, channel, 2, 0xe2b36e3619f5d12eull, 0},
+    {Float16_comp, channel, 3, 0x2a29cdcef49e4e89ull, 0},
+    {Float16_comp, channel, 33, 0x5489c58fae6d49cdull, 0},
+    {Float16_comp, channel, 64, 0xd012cf46acbbe110ull, 0},
+    {Float16_32, periodic, 1, 0x52deb410d5b80094ull, 0},
+    {Float16_32, periodic, 2, 0x82d11c349640a3a6ull, 0},
+    {Float16_32, periodic, 3, 0x8f304e97b602b1c9ull, 0},
+    {Float16_32, periodic, 33, 0x42e655a10405b37cull, 0},
+    {Float16_32, periodic, 64, 0x6b8e511547dd2790ull, 0},
+    {Float16_32, channel, 1, 0x62443d01324688e6ull, 0},
+    {Float16_32, channel, 2, 0x23a93978469eb850ull, 0},
+    {Float16_32, channel, 3, 0x44c9fb841d79eddeull, 0},
+    {Float16_32, channel, 33, 0x975d67cd47925c25ull, 0},
+    {Float16_32, channel, 64, 0x9b5e6e7daa64944full, 0},
+    {Sherlog32, periodic, 1, 0xaf75cdf5352ae383ull, 0x76d080b04c27c130ull},
+    {Sherlog32, periodic, 2, 0xb1a040f3407c5d61ull, 0x1ab0b66e16edc8f9ull},
+    {Sherlog32, periodic, 3, 0x67a12a835c9b1d74ull, 0xe204e58fab54c67cull},
+    {Sherlog32, periodic, 33, 0xb385e8aa685053a4ull, 0x3cf54f2fa7fbd444ull},
+    {Sherlog32, periodic, 64, 0xfcabc683db0be88dull, 0x9c838173ecb40f2eull},
+    {Sherlog32, channel, 1, 0xea1e2d7effa12abcull, 0x25d8548ae7a5d4afull},
+    {Sherlog32, channel, 2, 0xe1f643f86935cc42ull, 0xba6b0ef4bcce4b3bull},
+    {Sherlog32, channel, 3, 0x16acf407060dc759ull, 0xb49f64578407e59ull},
+    {Sherlog32, channel, 33, 0x72ee68438768f96eull, 0xd41080346addf1a2ull},
+    {Sherlog32, channel, 64, 0x15850a9800b7179eull, 0x984bac1c9409ce9eull},
+};
+
+}  // namespace
+
+class SwmGolden : public ::testing::TestWithParam<golden_case> {};
+
+TEST_P(SwmGolden, TrajectoryMatchesRecordedHash) {
+  const golden_case& c = GetParam();
+  for (const int threads : {1, 2}) {
+    const golden_hashes got = run_case(c, threads);
+    EXPECT_EQ(got.state, c.state_hash)
+        << "pool of " << threads << ": state 0x" << std::hex << got.state;
+    EXPECT_EQ(got.sink, c.sink_hash)
+        << "pool of " << threads << ": sink 0x" << std::hex << got.sink;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, SwmGolden, ::testing::ValuesIn(golden_cases),
+    [](const ::testing::TestParamInfo<golden_case>& tp) {
+      return case_name(tp.param);
+    });
 
 TEST(Diagnostics, VorticityOfShearFlow) {
   // u = U0 sin(2 pi j / ny): zeta = -du/dy, checked against the
