@@ -5,11 +5,11 @@
 // The ranks decompose the grid into y-slabs and exchange halo rows
 // every RK4 stage. The *transport* underneath is selectable
 // (docs/TRANSPORTS.md): the same binary runs all ranks as threads over
-// the simulated network, over in-process shared-memory channels, over
-// real loopback TCP - or as one process per rank:
+// in-process shared-memory channels (the default) or over real
+// loopback TCP - or as one process per rank:
 //
 //   distributed_swm                               # classic 8-rank demo
-//   distributed_swm --transport=shm --ranks=4
+//   distributed_swm --ranks=4                     # shm, 4 ranks
 //   distributed_swm --transport=socket --ranks=4 --out=/tmp/sock
 //   # separate processes, one per rank, agreeing on a coordinator port:
 //   for r in 0 1 2 3; do
@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,7 @@ struct options {
 
 [[noreturn]] void usage(const char* argv0) {
   std::printf(
-      "usage: %s [--transport=simulated|shm|socket] [--ranks=N] [--steps=N]\n"
+      "usage: %s [--transport=shm|socket] [--ranks=N] [--steps=N]\n"
       "          [--scheme=standard|compensated] [--out=PREFIX]\n"
       "          [--rank=R --port=P [--host=H]]   # socket process mode\n",
       argv0);
@@ -66,7 +67,12 @@ options parse_args(int argc, char** argv) {
     const std::string val =
         eq == std::string::npos ? std::string{} : arg.substr(eq + 1);
     if (key == "--transport") {
-      opt.transport.kind = mpisim::transport_manager::parse(val);
+      try {
+        opt.transport.kind = mpisim::transport_manager::parse(val);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        usage(argv[0]);
+      }
     } else if (key == "--ranks") {
       opt.ranks = std::atoi(val.c_str());
     } else if (key == "--steps") {

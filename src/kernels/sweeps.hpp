@@ -6,11 +6,12 @@
 ///
 /// These are the hot loops of the paper's ShallowWaters.jl experiment:
 /// the fused RK4 increment+apply (standard and Kahan-compensated), the
-/// three-field stage combine, and the mixed-precision down-cast. The
-/// scalar loops live in swm/timestep.hpp / swm/model.hpp and remain the
-/// oracle; timestep routes native element types (double / float with
-/// T == Tprog) here, and tests/swm_fused_test pins that the dispatched
-/// sweeps stay bit-identical to the unfused scalar pipeline.
+/// three-field stage combine, and the mixed-precision down-cast.
+/// swm/timestep.hpp routes native element types (double / float with
+/// T == Tprog) here and keeps scalar loops for the soft-float types.
+/// tests/kernels_simd_test pins every width bit-identical to the scalar
+/// chain (the *_scalar forms below), and tests/swm_model_test's
+/// SwmGolden pins the model trajectories the sweeps produce.
 ///
 /// Bit-identity argument (docs/KERNELS.md): each vector statement below
 /// performs, per lane, exactly the operation chain of the corresponding

@@ -38,13 +38,13 @@
 /// bit- and allocation-identical to the pre-fault-plane runtime.
 ///
 /// Transports: the byte movement underneath all of the above is
-/// pluggable (transport.hpp). The default "simulated" transport is the
-/// historical mailbox fabric; "shm" uses per-channel shared-memory
-/// queues; "socket" ships frames over real TCP, optionally with each
-/// rank in its own process (world then spawns threads only for the
-/// ranks that live here). Virtual-time accounting stays in this layer,
-/// so every transport produces bit-identical clocks and trajectories -
-/// tests/mpisim_transport_test pins that.
+/// pluggable (transport.hpp). The default "shm" transport uses
+/// per-channel shared-memory queues; "socket" ships frames over real
+/// TCP, optionally with each rank in its own process (world then
+/// spawns threads only for the ranks that live here). Virtual-time
+/// accounting stays in this layer, so every transport produces
+/// bit-identical clocks and trajectories - tests/mpisim_transport_test
+/// pins both against recorded golden hashes.
 
 #include <array>
 #include <condition_variable>

@@ -53,7 +53,7 @@ void channel_store::deposit(wire_message msg, bool front) {
     if (msg.epoch < floor_) return;  // stale straggler: fenced off
     auto& q = chan_[static_cast<std::size_t>(msg.source)];
     if (front) {
-      q.push_front(std::move(msg));
+      q.insert(q.begin(), std::move(msg));
     } else {
       q.push_back(std::move(msg));
     }
@@ -98,8 +98,8 @@ wire_message channel_store::collect_faulty(int src, int tag) {
   for (;;) {
     // Pass 1: real traffic, lowest sequence number first (ties: lowest
     // source) so a reordered queue still delivers per-stream in order.
-    std::deque<wire_message>* best_q = nullptr;
-    std::deque<wire_message>::iterator best;
+    std::vector<wire_message>* best_q = nullptr;
+    std::vector<wire_message>::iterator best;
     for (std::size_t s = lo; s < hi; ++s) {
       auto& q = chan_[s];
       for (auto it = q.begin(); it != q.end(); ++it) {
@@ -140,141 +140,8 @@ wire_message channel_store::collect_faulty(int src, int tag) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// simulated - the historical mailbox fabric, verbatim: one FIFO deque
-// per destination, arrival-order scan. The deterministic bit-level
-// oracle every other transport is pinned against.
-// ---------------------------------------------------------------------------
-
-class sim_transport final : public transport {
- public:
-  explicit sim_transport(int ranks) : ranks_(ranks) {
-    boxes_.reserve(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-      boxes_.push_back(std::make_unique<mailbox>());
-    }
-  }
-
-  [[nodiscard]] const char* name() const noexcept override {
-    return "simulated";
-  }
-  [[nodiscard]] int ranks() const noexcept override { return ranks_; }
-
-  void reset() override {
-    for (auto& box : boxes_) {
-      const std::scoped_lock lock(box->mutex);
-      box->queue.clear();
-    }
-  }
-
-  void deposit(int dst, wire_message msg, bool front) override {
-    mailbox& box = *boxes_[static_cast<std::size_t>(dst)];
-    {
-      const std::scoped_lock lock(box.mutex);
-      if (front) {
-        box.queue.push_front(std::move(msg));
-      } else {
-        box.queue.push_back(std::move(msg));
-      }
-    }
-    box.arrived.notify_all();
-  }
-
-  [[nodiscard]] wire_message collect(int dst, int src, int tag) override {
-    mailbox& box = *boxes_[static_cast<std::size_t>(dst)];
-    std::unique_lock lock(box.mutex);
-    for (;;) {
-      for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-        if (it->kind != msg_kind::payload) continue;
-        const bool src_ok = src == any_source || it->source == src;
-        const bool tag_ok = tag == any_tag || it->tag == tag;
-        if (src_ok && tag_ok) {
-          wire_message msg = std::move(*it);
-          box.queue.erase(it);
-          return msg;
-        }
-      }
-      for (const auto& m : box.queue) {
-        if (m.kind == msg_kind::transport_down &&
-            (src == any_source || m.source == src)) {
-          return m;  // stays queued: the channel will not heal
-        }
-      }
-      box.arrived.wait(lock);
-    }
-  }
-
-  [[nodiscard]] wire_message collect_faulty(int dst, int src,
-                                            int tag) override {
-    mailbox& box = *boxes_[static_cast<std::size_t>(dst)];
-    std::unique_lock lock(box.mutex);
-    for (;;) {
-      // Pass 1: real traffic, lowest sequence number first so a
-      // reordered queue still delivers per-stream in order.
-      auto best = box.queue.end();
-      for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-        if (it->kind == msg_kind::crash_notice ||
-            it->kind == msg_kind::transport_down) {
-          continue;
-        }
-        const bool src_ok = src == any_source || it->source == src;
-        const bool tag_ok = tag == any_tag || it->tag == tag;
-        if (!src_ok || !tag_ok) continue;
-        if (best == box.queue.end() || it->seq < best->seq ||
-            (it->seq == best->seq && it->source < best->source)) {
-          best = it;
-        }
-      }
-      if (best != box.queue.end()) {
-        wire_message msg = std::move(*best);
-        box.queue.erase(best);
-        return msg;
-      }
-      // Pass 2: only when no real message matches may a notice fire -
-      // the awaited message will never arrive.
-      for (auto& m : box.queue) {
-        if (m.kind != msg_kind::crash_notice &&
-            m.kind != msg_kind::transport_down) {
-          continue;
-        }
-        if (src == any_source || m.source == src) {
-          return m;  // left in the queue: it poisons every later recv
-        }
-      }
-      box.arrived.wait(lock);
-    }
-  }
-
-  void broadcast_crash(int source, double vtime) override {
-    for (int dst = 0; dst < ranks_; ++dst) {
-      if (dst == source) continue;
-      deposit(dst,
-              wire_message{source, 0, vtime, {}, 0, 0,
-                           msg_kind::crash_notice},
-              false);
-    }
-  }
-
-  void drain(int dst) override {
-    mailbox& box = *boxes_[static_cast<std::size_t>(dst)];
-    const std::scoped_lock lock(box.mutex);
-    box.queue.clear();
-  }
-
- private:
-  struct mailbox {
-    std::mutex mutex;
-    std::condition_variable arrived;
-    std::deque<wire_message> queue;
-  };
-
-  int ranks_;
-  std::vector<std::unique_ptr<mailbox>> boxes_;
-};
-
-// ---------------------------------------------------------------------------
-// shm - per-(src,dst) FIFO channels (channel_store). Same matching
-// contract as the oracle, different storage geometry: senders lock
-// only their target and each stream has its own queue.
+// shm - per-(src,dst) FIFO channels (channel_store): senders lock only
+// their target and each stream has its own queue.
 // ---------------------------------------------------------------------------
 
 class shm_transport final : public transport {
@@ -333,16 +200,14 @@ class shm_transport final : public transport {
 // ---------------------------------------------------------------------------
 
 transport_kind transport_manager::parse(std::string_view name) {
-  if (name == "simulated" || name == "sim") return transport_kind::simulated;
   if (name == "shm") return transport_kind::shm;
   if (name == "socket" || name == "tcp") return transport_kind::socket;
   throw std::invalid_argument("unknown transport '" + std::string(name) +
-                              "' (expected simulated|shm|socket)");
+                              "' (expected shm|socket)");
 }
 
 const char* transport_manager::name_of(transport_kind kind) noexcept {
   switch (kind) {
-    case transport_kind::simulated: return "simulated";
     case transport_kind::shm: return "shm";
     case transport_kind::socket: return "socket";
   }
@@ -353,8 +218,6 @@ std::unique_ptr<transport> transport_manager::make(
     int ranks, const transport_options& options) {
   TFX_EXPECTS(ranks > 0);
   switch (options.kind) {
-    case transport_kind::simulated:
-      return std::make_unique<sim_transport>(ranks);
     case transport_kind::shm:
       return std::make_unique<shm_transport>(ranks);
     case transport_kind::socket:

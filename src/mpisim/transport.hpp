@@ -12,16 +12,15 @@
 /// rollback recovery, halo engine, obs vocabulary) is
 /// transport-agnostic and runs unchanged over every implementation;
 /// tests/mpisim_transport_test replays the bit-identity, chaos, and
-/// recovery suites over all of them and pins the trajectories - Kahan
-/// compensation bits included - against the simulated-network oracle.
+/// recovery suites over each of them and checks payloads, packed model
+/// states (Kahan compensation bits included), virtual clocks and fault
+/// bookkeeping against recorded golden hashes.
 ///
 /// Implementations (the MTCL-style handle/manager/protocol split:
 /// one manager, named protocols, uniform handles):
-///   * simulated - the historical in-process mailbox fabric of the
-///     modeled TofuD network; the deterministic bit-level oracle.
 ///   * shm       - in-process shared-memory channels: per-(src,dst)
 ///     FIFO queues with per-destination wakeup, the layout a real
-///     shared-memory ring transport uses.
+///     shared-memory ring transport uses. The default.
 ///   * socket    - real TCP over loopback or a LAN
 ///     (socket_transport.hpp): length-prefixed frames, a
 ///     listener/connector handshake, typed comm_error on
@@ -37,7 +36,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -89,7 +87,7 @@ class transport {
  public:
   virtual ~transport() = default;
 
-  /// Registry name ("simulated", "shm", "socket").
+  /// Registry name ("shm", "socket").
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   /// World size (all processes together).
@@ -130,8 +128,9 @@ class transport {
   virtual void drain(int dst) = 0;
 };
 
-/// Selector for the built-in protocols.
-enum class transport_kind : std::uint8_t { simulated, shm, socket };
+/// Selector for the built-in protocols. The values are stable
+/// identifiers: logs and parameterized test names print them.
+enum class transport_kind : std::uint8_t { shm = 1, socket = 2 };
 
 /// Deployment descriptor of the socket transport.
 struct socket_options {
@@ -153,7 +152,7 @@ struct socket_options {
 
 /// How a world should move its bytes.
 struct transport_options {
-  transport_kind kind = transport_kind::simulated;
+  transport_kind kind = transport_kind::shm;
   socket_options socket;  ///< consulted only when kind == socket
 };
 
@@ -161,8 +160,8 @@ struct transport_options {
 /// split into parse + make; the world owns the returned protocol).
 class transport_manager {
  public:
-  /// "simulated" | "sim" | "shm" | "socket" -> kind; throws
-  /// std::invalid_argument on anything else.
+  /// "shm" | "socket" | "tcp" -> kind; throws std::invalid_argument
+  /// on anything else.
   [[nodiscard]] static transport_kind parse(std::string_view name);
   [[nodiscard]] static const char* name_of(transport_kind kind) noexcept;
 
@@ -206,7 +205,11 @@ class channel_store {
   std::mutex mutex_;
   std::condition_variable arrived_;
   std::uint32_t floor_ = 0;  ///< deposits below this epoch are dropped
-  std::vector<std::deque<wire_message>> chan_;  ///< per source
+  /// Per source, in FIFO order. Vectors rather than deques: erasing
+  /// keeps the capacity, so a warm store stops allocating, where a
+  /// deque frees and re-allocates a block whenever its front crosses
+  /// one - an allocation count that would vary with thread timing.
+  std::vector<std::vector<wire_message>> chan_;
 };
 
 }  // namespace detail

@@ -13,6 +13,11 @@
 /// The first template parameter T is the *computation* type (all RHS
 /// arithmetic); the second, Tprog, is the *time-integration* type the
 /// prognostic fields are stored and accumulated in (defaults to T).
+///
+/// Every instantiation steps through the same fused RK4 sweeps
+/// (timestep.hpp): one parallel region per stage, one increment+apply
+/// sweep per step. tests/swm_model_test's SwmGolden pins the resulting
+/// trajectories by recorded hash at every precision.
 
 #include <algorithm>
 #include <cmath>
@@ -59,19 +64,6 @@ class model {
   [[nodiscard]] integration_scheme scheme() const { return scheme_; }
   [[nodiscard]] int steps_taken() const { return steps_; }
   [[nodiscard]] double time() const { return steps_ * params_.dt(); }
-
-  /// Select the update pipeline (default fused; see update_pipeline).
-  /// Switching mid-run is safe: both pipelines advance the state - and
-  /// the Kahan compensation - through identical per-element arithmetic.
-  void set_pipeline(update_pipeline p) {
-    pipeline_ = p;
-    if (p == update_pipeline::unfused && inc_u_.size() == 0) {
-      inc_u_ = field2d<Tprog>(params_.nx, params_.ny);
-      inc_v_ = field2d<Tprog>(params_.nx, params_.ny);
-      inc_eta_ = field2d<Tprog>(params_.nx, params_.ny);
-    }
-  }
-  [[nodiscard]] update_pipeline pipeline() const { return pipeline_; }
 
   /// The prognostic (scaled) state in integration precision.
   [[nodiscard]] const state<Tprog>& prognostic() const { return prog_; }
@@ -194,31 +186,21 @@ class model {
   /// update-sweep traffic (value) against the perfmodel's prediction
   /// for the same configuration (aux) - the trace-level version of the
   /// docs/MODEL.md byte accounting. Tracing off (or compiled out):
-  /// exactly the three statements of the tail branch, nothing else.
+  /// exactly the two calls of the tail branch, nothing else.
   void step() {
     if constexpr (obs::compiled) {
       if (obs::active()) {
         const double t0 = obs::host_now();
         obs::begin_at(obs::domain::swm, 0, "swm.step", t0,
                       static_cast<std::uint64_t>(steps_));
-        if (pipeline_ == update_pipeline::fused) {
-          step_fused();
-        } else {
-          step_unfused();
-        }
-        ++steps_;
-        if (health_every_ > 0 && steps_ % health_every_ == 0) check_health();
+        step_fused();
+        finish_step();
         emit_step_obs(t0);
         return;
       }
     }
-    if (pipeline_ == update_pipeline::fused) {
-      step_fused();
-    } else {
-      step_unfused();
-    }
-    ++steps_;
-    if (health_every_ > 0 && steps_ % health_every_ == 0) check_health();
+    step_fused();
+    finish_step();
   }
 
   void run(int steps) {
@@ -228,12 +210,12 @@ class model {
   // -- member-steppable facade (the ensemble engine, src/ensemble) ----
   //
   // The engine drives a member's step in parts so the apply sweep can
-  // be batched across members: step_stages() runs the four RHS stages
-  // of the *fused* pipeline, then either step_apply() finishes the
-  // step standalone or the engine collects append_rk4_items() from the
-  // whole batch and runs kernels::sweeps::rk4_update[_kahan]_batched —
-  // the same per-element chains, one dispatch for the batch. Either
-  // way finish_step() closes the step exactly like step()'s tail, so
+  // be batched across members: step_stages() runs the four RHS stages,
+  // then either step_apply() finishes the step standalone or the
+  // engine collects append_rk4_items() from the whole batch and runs
+  // kernels::sweeps::rk4_update[_kahan]_batched — the same per-element
+  // chains, one dispatch for the batch. Either way finish_step()
+  // closes the step, as it closes step(), so
   //   step_stages(); step_apply(); finish_step();
   // is the untraced step() verbatim, and the batched form is pinned
   // bit-identical to it by tests/ensemble_engine_test.
@@ -246,7 +228,6 @@ class model {
 
   /// The four fused RHS stages of one step: k1..k4 become valid.
   void step_stages() {
-    TFX_EXPECTS(pipeline_ == update_pipeline::fused);
     const Tprog half = Tprog(0.5);
     const Tprog one = Tprog(1);
     fused_stage(nullptr, Tprog{}, k1_);
@@ -259,8 +240,8 @@ class model {
   /// step_stages()).
   void step_apply() { fused_apply(); }
 
-  /// Close the step: counter + health sentinel, identical to step().
-  /// Throws numerical_error like step() when the sentinel trips.
+  /// Close the step: counter + health sentinel (step() ends with it
+  /// too). Throws numerical_error when the sentinel trips.
   void finish_step() {
     ++steps_;
     if (health_every_ > 0 && steps_ % health_every_ == 0) check_health();
@@ -291,8 +272,7 @@ class model {
   /// precision down-cast when Tprog != T, and all five RHS passes -
   /// barriers between region tasks order the writes. The step then
   /// finishes with ONE fused increment+apply sweep per field (no
-  /// increment arrays). Bit-identical to step_unfused at every
-  /// precision and pool size.
+  /// increment arrays). Bit-identical at every pool size.
   void step_fused() {
     const Tprog half = Tprog(0.5);
     const Tprog one = Tprog(1);
@@ -314,49 +294,6 @@ class model {
     }
     TFX_OBS_SPAN(swm, 0, "rk4.apply");
     fused_apply();
-  }
-
-  /// The reference pipeline: separate serial element-wise sweeps
-  /// (stage_combine x3 per stage, rk4_increment, apply_increment) with
-  /// only the RHS row-parallel. Kept as the fusion ablation baseline.
-  void step_unfused() {
-    const Tprog half = Tprog(0.5);
-    const Tprog one = Tprog(1);
-
-    {
-      TFX_OBS_SPAN(swm, 0, "rk4.stage", 1);
-      eval_stage(prog_, k1_);
-    }
-    {
-      TFX_OBS_SPAN(swm, 0, "rk4.stage", 2);
-      combine_stage(prog_, k1_, half);
-      eval_stage(stage_, k2_);
-    }
-    {
-      TFX_OBS_SPAN(swm, 0, "rk4.stage", 3);
-      combine_stage(prog_, k2_, half);
-      eval_stage(stage_, k3_);
-    }
-    {
-      TFX_OBS_SPAN(swm, 0, "rk4.stage", 4);
-      combine_stage(prog_, k3_, one);
-      eval_stage(stage_, k4_);
-    }
-    TFX_OBS_SPAN(swm, 0, "rk4.apply");
-
-    rk4_increment(inc_u_, k1_.du, k2_.du, k3_.du, k4_.du);
-    rk4_increment(inc_v_, k1_.dv, k2_.dv, k3_.dv, k4_.dv);
-    rk4_increment(inc_eta_, k1_.deta, k2_.deta, k3_.deta, k4_.deta);
-
-    if (scheme_ == integration_scheme::compensated) {
-      apply_increment_compensated(prog_.u, inc_u_, comp_.u);
-      apply_increment_compensated(prog_.v, inc_v_, comp_.v);
-      apply_increment_compensated(prog_.eta, inc_eta_, comp_.eta);
-    } else {
-      apply_increment(prog_.u, inc_u_);
-      apply_increment(prog_.v, inc_v_);
-      apply_increment(prog_.eta, inc_eta_);
-    }
   }
 
   /// Region-task context: the trampolines receive it as const void*,
@@ -453,46 +390,23 @@ class model {
     }
   }
 
-  /// Evaluate the RHS at a (possibly wider-precision) state, casting
-  /// down to the computation type when Tprog != T (unfused path).
-  void eval_stage(const state<Tprog>& at, tendencies<T>& k) {
-    if constexpr (std::is_same_v<T, Tprog>) {
-      rhs_(at, k);
-    } else {
-      convert_state_into(compute_state_, at);
-      rhs_(compute_state_, k);
-    }
-  }
-
-  /// stage_ = y + a * k, in Tprog (unfused path: three serial sweeps).
-  void combine_stage(const state<Tprog>& y, const tendencies<T>& k, Tprog a) {
-    stage_combine(stage_.u, y.u, k.du, a);
-    stage_combine(stage_.v, y.v, k.dv, a);
-    stage_combine(stage_.eta, y.eta, k.deta, a);
-  }
-
   /// Bytes the update sweeps of ONE step just moved, counted from the
-  /// pipeline this model actually ran (the measurement half of the
+  /// sweeps this model runs (the measurement half of the
   /// swm.update_bytes counter; perfmodel.cpp derives the same sweep
   /// counts independently from the source, so predicted == measured is
   /// a live cross-check of the docs/MODEL.md accounting):
   ///   combines:  3 stages x 3 fields x (y read + stage write in Tprog,
   ///              k read in T)
-  ///   increment: 3 fields x 4 k reads in T; the unfused pipeline also
-  ///              writes (and re-reads in apply) an increment array
-  ///   apply:     fused 2 Tprog/field (4 compensated), unfused 3 (5)
+  ///   increment: 3 fields x 4 k reads in T, formed in registers
+  ///   apply:     2 Tprog per field (4 compensated)
   ///   mixed:     4 down-casts x 3 fields x (Tprog read + T write)
   [[nodiscard]] std::uint64_t measured_update_bytes() const {
     const double e = static_cast<double>(sizeof(T));
     const double p = static_cast<double>(sizeof(Tprog));
     const bool comp = scheme_ == integration_scheme::compensated;
     const double sweeps_T = 3.0 * 3.0 * 1.0 + 3.0 * 4.0;
-    double sweeps_Tprog = 3.0 * 3.0 * 2.0;
-    if (pipeline_ == update_pipeline::fused) {
-      sweeps_Tprog += comp ? 3.0 * 4.0 : 3.0 * 2.0;
-    } else {
-      sweeps_Tprog += 3.0 * 1.0 + (comp ? 3.0 * 5.0 : 3.0 * 3.0);
-    }
+    const double sweeps_Tprog =
+        3.0 * 3.0 * 2.0 + (comp ? 3.0 * 4.0 : 3.0 * 2.0);
     double per_cell = sweeps_T * e + sweeps_Tprog * p;
     if constexpr (!std::is_same_v<T, Tprog>) {
       per_cell += 4.0 * 3.0 * (e + p);
@@ -508,7 +422,6 @@ class model {
     cfg.elem_bytes = sizeof(T);
     cfg.prog_elem_bytes = sizeof(Tprog);
     cfg.compensated = scheme_ == integration_scheme::compensated;
-    cfg.fused = pipeline_ == update_pipeline::fused;
     return cfg;
   }
 
@@ -533,13 +446,11 @@ class model {
 
   swm_params params_;
   integration_scheme scheme_;
-  update_pipeline pipeline_ = update_pipeline::fused;
   rhs_evaluator<T> rhs_;
   state<Tprog> prog_;
   state<Tprog> comp_;   ///< Kahan compensation carried across steps
   state<Tprog> stage_;  ///< RK stage state
   state<T> compute_state_;  ///< down-cast stage (mixed precision only)
-  field2d<Tprog> inc_u_, inc_v_, inc_eta_;  ///< unfused pipeline only
   tendencies<T> k1_, k2_, k3_, k4_;
   stage_ctx ctx_;
   int steps_ = 0;

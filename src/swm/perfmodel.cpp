@@ -19,34 +19,23 @@ namespace {
 // rhs.hpp / model.hpp pass for pass:
 //   4 RHS evaluations x (19 reads + 7 writes) of T
 //   3 stage combinations x 3 fields x (2 Tprog reads/writes + 1 T read)
-//   increment reduction: 3 fields x 4 T reads, plus - UNFUSED ONLY -
-//   1 Tprog increment-array write per field and its re-read in the
-//   apply sweep. The fused pipeline (update_pipeline::fused) forms the
-//   increment in registers, so the apply touches only y (and the Kahan
-//   arrays when compensated): 2 Tprog per field instead of 4, 4
-//   instead of 6 compensated.
+//   increment: 3 fields x 4 T reads, formed in registers, so the apply
+//   touches only y (and the Kahan arrays when compensated): 2 Tprog
+//   per field, 4 compensated
 //   mixed precision: 4 down-casts x 3 fields x (Tprog read + T write)
 constexpr double rhs_sweeps_T = 4.0 * (19.0 + 7.0);
 constexpr double stage_sweeps_Tprog = 3.0 * 3.0 * 2.0;
 constexpr double stage_sweeps_T = 3.0 * 3.0 * 1.0;
 constexpr double inc_sweeps_T = 3.0 * 4.0;
-constexpr double inc_sweeps_Tprog_unfused = 3.0 * 1.0;
-constexpr double update_sweeps_plain_unfused = 3.0 * 3.0;
-constexpr double update_sweeps_comp_unfused = 3.0 * 5.0;
-constexpr double update_sweeps_plain_fused = 3.0 * 2.0;
-constexpr double update_sweeps_comp_fused = 3.0 * 4.0;
+constexpr double update_sweeps_plain = 3.0 * 2.0;
+constexpr double update_sweeps_comp = 3.0 * 4.0;
 constexpr double cast_sweeps = 4.0 * 3.0;  // each: 1 Tprog + 1 T
 
-// Element-wise update LOOPS per step (the dispatch/fusion metric the
-// ablation reports; docs/MODEL.md "Per-step memory traffic"):
-//   unfused: 9 stage combines + 3 rk4_increment + 3 apply (+12 per-
-//   field down-cast loops when mixed);
-//   fused:   3 three-field combines + 1 three-field apply (+4 fused
-//   down-cast loops when mixed).
-constexpr std::uint64_t update_loops_unfused = 15;
-constexpr std::uint64_t update_loops_fused = 4;
-constexpr std::uint64_t cast_loops_unfused = 12;
-constexpr std::uint64_t cast_loops_fused = 4;
+// Element-wise update LOOPS per step (docs/MODEL.md "Per-step memory
+// traffic"): 3 three-field combines + 1 three-field apply, plus 4 fused
+// down-cast loops when mixed.
+constexpr std::uint64_t update_loops = 4;
+constexpr std::uint64_t cast_loops = 4;
 
 /// Arithmetic per cell per step (4 RHS evaluations of the 5-pass
 /// stencil plus the RK4 combination), counted from the source.
@@ -61,9 +50,8 @@ constexpr double stencil_efficiency = 0.8;
 constexpr double fixed_step_overhead_s = 40e-6;
 
 /// Live arrays during a step (3 prognostic + compensation + stage +
-/// 4 tendency sets + RHS scratch; the unfused pipeline adds the 3
-/// increment arrays), for the working-set estimate that selects the
-/// bandwidth regime.
+/// 4 tendency sets + RHS scratch), for the working-set estimate that
+/// selects the bandwidth regime.
 constexpr double live_arrays_T = 4.0 * 3.0 + 4.0;  // tendencies + scratch
 constexpr double live_arrays_Tprog = 3.0 + 3.0;    // prog + stage
 
@@ -76,28 +64,19 @@ step_cost predict_step(const arch::a64fx_params& machine, int nx, int ny,
   const auto e = static_cast<double>(config.elem_bytes);
   const auto p = static_cast<double>(config.prog_elem_bytes);
 
-  const double inc_Tprog = config.fused ? 0.0 : inc_sweeps_Tprog_unfused;
   const double apply_Tprog =
-      config.fused
-          ? (config.compensated ? update_sweeps_comp_fused
-                                : update_sweeps_plain_fused)
-          : (config.compensated ? update_sweeps_comp_unfused
-                                : update_sweeps_plain_unfused);
+      config.compensated ? update_sweeps_comp : update_sweeps_plain;
 
-  double update_bytes_per_cell =
-      (stage_sweeps_T + inc_sweeps_T) * e +
-      (stage_sweeps_Tprog + inc_Tprog + apply_Tprog) * p;
+  double update_bytes_per_cell = (stage_sweeps_T + inc_sweeps_T) * e +
+                                 (stage_sweeps_Tprog + apply_Tprog) * p;
   if (config.mixed()) update_bytes_per_cell += cast_sweeps * (e + p);
   const double bytes_per_cell = rhs_sweeps_T * e + update_bytes_per_cell;
 
   double ws_per_cell = live_arrays_T * e + live_arrays_Tprog * p;
-  if (!config.fused) ws_per_cell += 3.0 * p;  // increment arrays
   if (config.compensated) ws_per_cell += 3.0 * p;
 
-  out.update_sweeps = config.fused ? update_loops_fused : update_loops_unfused;
-  if (config.mixed()) {
-    out.update_sweeps += config.fused ? cast_loops_fused : cast_loops_unfused;
-  }
+  out.update_sweeps = update_loops;
+  if (config.mixed()) out.update_sweeps += cast_loops;
   out.update_bytes = static_cast<std::uint64_t>(update_bytes_per_cell * cells);
   out.bytes_moved = static_cast<std::uint64_t>(bytes_per_cell * cells);
   out.working_set_bytes = static_cast<std::uint64_t>(ws_per_cell * cells);

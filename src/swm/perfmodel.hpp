@@ -31,7 +31,6 @@ struct precision_config {
   std::size_t prog_elem_bytes = 8;  ///< sizeof(Tprog): integration type
   bool compensated = false;         ///< Kahan arrays carried per field
   const char* name = "Float64";
-  bool fused = true;  ///< update_pipeline::fused (the model's default)
 
   [[nodiscard]] bool mixed() const { return elem_bytes != prog_elem_bytes; }
 };
@@ -51,9 +50,9 @@ struct step_cost {
   std::uint64_t bytes_moved = 0;
   std::uint64_t working_set_bytes = 0;
   /// Element-wise update loops launched per step outside the RHS
-  /// (stage combines, mixed-precision down-casts, increment reduction,
-  /// prognostic apply). Fusion is exactly a reduction of this count:
-  /// 15 -> 4 same-precision, 27 -> 8 mixed (docs/MODEL.md tabulates).
+  /// (stage combines, mixed-precision down-casts, the fused
+  /// increment+apply): 4 same-precision, 8 mixed (docs/MODEL.md
+  /// tabulates).
   std::uint64_t update_sweeps = 0;
   /// Bytes those update loops move per step (subset of bytes_moved).
   std::uint64_t update_bytes = 0;

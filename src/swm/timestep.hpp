@@ -16,7 +16,6 @@
 #include <span>
 #include <type_traits>
 
-#include "core/contracts.hpp"
 #include "fp/traits.hpp"
 #include "kernels/sweeps.hpp"
 #include "swm/field.hpp"
@@ -30,24 +29,6 @@ enum class integration_scheme {
   compensated,  ///< Kahan-compensated += in Tprog
 };
 
-/// Which sweep structure model<T, Tprog>::step runs. Both produce
-/// bit-identical trajectories (tests/swm_fused_test); `unfused` keeps
-/// the reference element-wise kernels alive for the fusion ablation
-/// (bench/ablation_fusion) and as the comparison oracle.
-///
-/// The fused sweeps route native element types (double / float with
-/// T == Tprog, per fp::vec_traits) through the dispatched vector
-/// kernels in kernels/sweeps.hpp — explicitly vectorized at the runtime
-/// width policy, bit-identical to the scalar loops at every width
-/// (docs/KERNELS.md). Soft-float and analysis types keep the scalar
-/// loops below.
-enum class update_pipeline {
-  fused,    ///< combine/down-cast/RHS as one region per stage; one
-            ///< increment+apply sweep per field, no increment arrays
-  unfused,  ///< separate serial sweeps: stage_combine x3, rk4_increment,
-            ///< apply_increment[_compensated]
-};
-
 /// Lossless-where-possible precision cast (via double, exact for all
 /// library formats).
 template <typename To, typename From>
@@ -59,77 +40,21 @@ constexpr To fpcast(const From& v) {
   }
 }
 
-/// out = y + a * k, element-wise, computed in Tprog (k cast up/down as
-/// needed). Used to form the RK stage states.
-template <typename Tprog, typename T>
-void stage_combine(field2d<Tprog>& out, const field2d<Tprog>& y,
-                   const field2d<T>& k, Tprog a) {
-  auto o = out.flat();
-  auto yy = y.flat();
-  auto kk = k.flat();
-  TFX_EXPECTS(o.size() == yy.size() && o.size() == kk.size());
-  for (std::size_t idx = 0; idx < o.size(); ++idx) {
-    o[idx] = yy[idx] + a * fpcast<Tprog>(kk[idx]);
-  }
-}
-
-/// The RK4 combination (k1 + 2 k2 + 2 k3 + k4) / 6, in Tprog.
-template <typename Tprog, typename T>
-void rk4_increment(field2d<Tprog>& inc, const field2d<T>& k1,
-                   const field2d<T>& k2, const field2d<T>& k3,
-                   const field2d<T>& k4) {
-  auto o = inc.flat();
-  auto a = k1.flat();
-  auto b = k2.flat();
-  auto cc = k3.flat();
-  auto d = k4.flat();
-  const Tprog two{2};
-  const Tprog sixth = Tprog(1.0 / 6.0);
-  for (std::size_t idx = 0; idx < o.size(); ++idx) {
-    const Tprog sum = fpcast<Tprog>(a[idx]) + two * fpcast<Tprog>(b[idx]) +
-                      two * fpcast<Tprog>(cc[idx]) + fpcast<Tprog>(d[idx]);
-    o[idx] = sixth * sum;
-  }
-}
-
-/// y += inc, plain.
-template <typename Tprog>
-void apply_increment(field2d<Tprog>& y, const field2d<Tprog>& inc) {
-  auto yy = y.flat();
-  auto ii = inc.flat();
-  for (std::size_t idx = 0; idx < yy.size(); ++idx) yy[idx] += ii[idx];
-}
-
-/// y += inc with Kahan compensation carried in `comp` across steps -
-/// the compensated time integration of § III-B / Fig. 4's caption.
-template <typename Tprog>
-void apply_increment_compensated(field2d<Tprog>& y, const field2d<Tprog>& inc,
-                                 field2d<Tprog>& comp) {
-  auto yy = y.flat();
-  auto ii = inc.flat();
-  auto cc = comp.flat();
-  for (std::size_t idx = 0; idx < yy.size(); ++idx) {
-    const Tprog adjusted = ii[idx] - cc[idx];
-    const Tprog t = yy[idx] + adjusted;
-    cc[idx] = (t - yy[idx]) - adjusted;
-    yy[idx] = t;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Fused update pipeline. The rk4_increment + apply_increment pair above
-// costs two sweeps per field and a full increment array of traffic (one
-// write, one read). Because the per-element arithmetic chains are
-// independent, both can run in ONE sweep that never materializes the
-// increment: the element value
+// The RK4 update. Per element the increment
 //
 //   inc = (k1 + 2 k2 + 2 k3 + k4) / 6        (evaluated in Tprog,
-//                                              left-to-right, exactly as
-//                                              rk4_increment writes it)
+//                                              left-to-right)
 //
-// feeds straight into y += inc (or the Kahan update), so the fused
-// kernels are bit-identical to the unfused pair at every precision -
-// tests/swm_fused_test pins this against the unfused path.
+// is formed in registers and fed straight into y += inc (or the Kahan
+// update), so one sweep per field finishes the step and no increment
+// array is ever materialized. Native element types (double / float with
+// T == Tprog, per fp::vec_traits) run the dispatched vector kernels in
+// kernels/sweeps.hpp - explicitly vectorized at the runtime width
+// policy, bit-identical to the scalar loops at every width
+// (docs/KERNELS.md). Soft-float and analysis types run the scalar loops
+// below. tests/swm_model_test's SwmGolden pins the trajectories at
+// every precision.
 // ---------------------------------------------------------------------------
 
 /// One element range of the fused standard update: y += rk4(k1..k4).
@@ -152,9 +77,9 @@ void fused_rk4_update_range(std::span<Tprog> y, std::span<const T> k1,
   }
 }
 
-/// One element range of the fused compensated update: the Kahan
-/// recurrence of apply_increment_compensated with the increment formed
-/// in registers.
+/// One element range of the fused compensated update: y += rk4(k1..k4)
+/// with Kahan compensation carried in `comp` across steps - the
+/// compensated time integration of § III-B / Fig. 4's caption.
 template <typename Tprog, typename T>
 void fused_rk4_update_compensated_range(std::span<Tprog> y,
                                         std::span<Tprog> comp,
@@ -179,28 +104,6 @@ void fused_rk4_update_compensated_range(std::span<Tprog> y,
     comp[idx] = (t - y[idx]) - adjusted;
     y[idx] = t;
   }
-}
-
-/// Whole-field fused update, standard accumulation.
-template <typename Tprog, typename T>
-void fused_rk4_update(field2d<Tprog>& y, const field2d<T>& k1,
-                      const field2d<T>& k2, const field2d<T>& k3,
-                      const field2d<T>& k4) {
-  TFX_EXPECTS(y.size() == k1.size());
-  fused_rk4_update_range<Tprog, T>(y.flat(), k1.flat(), k2.flat(), k3.flat(),
-                                   k4.flat(), 0, y.size());
-}
-
-/// Whole-field fused update, Kahan-compensated accumulation.
-template <typename Tprog, typename T>
-void fused_rk4_update_compensated(field2d<Tprog>& y, field2d<Tprog>& comp,
-                                  const field2d<T>& k1, const field2d<T>& k2,
-                                  const field2d<T>& k3,
-                                  const field2d<T>& k4) {
-  TFX_EXPECTS(y.size() == k1.size() && y.size() == comp.size());
-  fused_rk4_update_compensated_range<Tprog, T>(y.flat(), comp.flat(),
-                                               k1.flat(), k2.flat(), k3.flat(),
-                                               k4.flat(), 0, y.size());
 }
 
 /// The fused update of all three prognostic fields over one element
@@ -237,10 +140,10 @@ void fused_rk4_apply_range(state<Tprog, Grid>& y, state<Tprog, Grid>& comp,
   }
 }
 
-/// One element range of the fused stage combine: out = y + a*k for all
-/// three prognostic fields in a single loop (one element-wise sweep
-/// instead of three; per-field arithmetic identical to stage_combine).
-/// Ranges index the interiors, so slab states combine like whole grids.
+/// One element range of the fused stage combine: out = y + a*k, in
+/// Tprog (k cast up/down as needed), for all three prognostic fields in
+/// a single loop - the RK stage states. Ranges index the interiors, so
+/// slab states combine like whole grids.
 template <typename Tprog, typename T, typename Grid>
 void fused_stage_combine_range(state<Tprog, Grid>& out,
                                const state<Tprog, Grid>& y,

@@ -12,8 +12,8 @@
 //     one-shot hierarchical_allreduce, which re-splits per call;
 //   * the DES program generator (make_hierarchical_allreduce_program)
 //     reproduces the threaded runtime's virtual clocks exactly;
-//   * chaos schedules leave results and fault bookkeeping bit-equal to
-//     the simulated-transport oracle, and crash schedules fail with
+//   * chaos schedules leave results and virtual clocks bit-equal to
+//     the same schedule run over shm, and crash schedules fail with
 //     the same typed errors.
 
 // The replacement operator new/delete below route through malloc/free;
@@ -143,7 +143,7 @@ class HierarchyConformance
 
   torus_placement& place() { return *place_; }
 
-  transport_kind kind_ = transport_kind::simulated;
+  transport_kind kind_ = transport_kind::shm;
   std::optional<torus_placement> place_;
 };
 
@@ -163,7 +163,7 @@ TEST_P(HierarchyConformance, AllreduceMatchesFlatBitwise) {
     h.allreduce(std::span<const double>(in), std::span<double>(out),
                 ops::sum{});
   };
-  const auto want = hierarchy_run(place(), transport_kind::simulated, flat);
+  const auto want = hierarchy_run(place(), transport_kind::shm, flat);
   const auto got = hierarchy_run(place(), kind_, hier);
   EXPECT_EQ(got.per_rank, want.per_rank);
   // Small and large payloads cross the leader-phase algorithm switch.
@@ -183,7 +183,7 @@ TEST_P(HierarchyConformance, AllreduceMatchesFlatBitwise) {
                 ops::max{});
   };
   EXPECT_EQ(hierarchy_run(place(), kind_, hier_big).per_rank,
-            hierarchy_run(place(), transport_kind::simulated, flat_big)
+            hierarchy_run(place(), transport_kind::shm, flat_big)
                 .per_rank);
 }
 
@@ -210,7 +210,7 @@ TEST_P(HierarchyConformance, ReduceMatchesFlatAtEveryRootKind) {
       if (comm.rank() != root) out.assign(count, 0.0);
     };
     EXPECT_EQ(hierarchy_run(place(), kind_, hier).per_rank,
-              hierarchy_run(place(), transport_kind::simulated, flat)
+              hierarchy_run(place(), transport_kind::shm, flat)
                   .per_rank)
         << "root " << root;
   }
@@ -272,7 +272,7 @@ TEST_P(HierarchyConformance, ChaosScheduleBitIdenticalToOracle) {
     }
   };
   const auto want =
-      hierarchy_run(place(), transport_kind::simulated, body, &cfg);
+      hierarchy_run(place(), transport_kind::shm, body, &cfg);
   const auto got = hierarchy_run(place(), kind_, body, &cfg);
   EXPECT_EQ(got.per_rank, want.per_rank);
   EXPECT_EQ(got.clocks, want.clocks);
@@ -312,8 +312,7 @@ TEST_P(HierarchyConformance, CrashScheduleRaisesTypedError) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, HierarchyConformance,
     ::testing::Combine(
-        ::testing::Values(transport_kind::simulated, transport_kind::shm,
-                          transport_kind::socket),
+        ::testing::Values(transport_kind::shm, transport_kind::socket),
         ::testing::Values(std::pair<std::array<int, 3>, int>{{1, 1, 1}, 4},
                           std::pair<std::array<int, 3>, int>{{2, 1, 1}, 4},
                           std::pair<std::array<int, 3>, int>{{2, 2, 1}, 3},

@@ -13,12 +13,13 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "mpisim/des.hpp"
 #include "mpisim/network.hpp"
 #include "mpisim/patterns.hpp"
+
+#include "golden_hash.hpp"
 
 using namespace tfx;
 using namespace tfx::mpisim;
@@ -157,16 +158,9 @@ TEST(TorusRoute, LinkIdsRoundTripThroughLinkAt) {
 // ---------------------------------------------------------------------------
 
 std::uint64_t fnv1a(const std::vector<double>& v) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const double d : v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, 8);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  tfx::test::fnv1a h;
+  h.values(v);
+  return h.h;
 }
 
 struct golden_case {

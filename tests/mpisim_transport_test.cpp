@@ -4,16 +4,16 @@
 // The contract under test: everything above the transport seam -
 // tagged matching, virtual time, the reliability protocol, the fault
 // plane, rollback recovery, the halo engine - behaves *bit-identically*
-// over every transport. The simulated mailbox fabric (the historical
-// engine, pinned against the DES elsewhere) is the oracle; the shm and
-// socket transports must reproduce its payloads, packed model states
-// (Kahan compensation bits included), virtual clocks, chaos
-// bookkeeping, and typed errors exactly. The socket transport must
-// additionally turn real network failures - refused connects, peer
-// death mid-message, truncated frames - into comm_error{transport_lost}
-// within the retry/backoff budget instead of hanging, and a 4-rank
-// model run split across four separate processes must produce the same
-// bytes as the in-process oracle.
+// over every transport. Recorded golden hashes are the oracle: each
+// matrix cell runs one world over shm or socket and must reproduce the
+// recorded payloads, packed model states (Kahan compensation bits
+// included), virtual clocks, chaos bookkeeping and crash casualties
+// exactly. The socket transport must additionally turn real network
+// failures - refused connects, peer death mid-message, truncated
+// frames - into comm_error{transport_lost} within the retry/backoff
+// budget instead of hanging, and a 4-rank model run split across four
+// separate processes must produce the same bytes as an in-process shm
+// run.
 //
 // Socket cases self-skip when the sandbox forbids loopback TCP.
 
@@ -41,6 +41,8 @@
 #include "swm/model.hpp"
 #include "swm/resilience.hpp"
 
+#include "golden_hash.hpp"
+
 using namespace tfx;
 using namespace tfx::mpisim;
 
@@ -66,32 +68,35 @@ transport_options topt_for(transport_kind kind) {
 // ---------------------------------------------------------------------------
 
 TEST(TransportManager, ParsesEveryRegisteredName) {
-  EXPECT_EQ(transport_manager::parse("simulated"), transport_kind::simulated);
-  EXPECT_EQ(transport_manager::parse("sim"), transport_kind::simulated);
   EXPECT_EQ(transport_manager::parse("shm"), transport_kind::shm);
   EXPECT_EQ(transport_manager::parse("socket"), transport_kind::socket);
   EXPECT_EQ(transport_manager::parse("tcp"), transport_kind::socket);
-  EXPECT_THROW((void)transport_manager::parse("carrier-pigeon"),
-               std::invalid_argument);
-  EXPECT_THROW((void)transport_manager::parse(""), std::invalid_argument);
+  for (const char* unknown : {"carrier-pigeon", "", "simulated", "sim"}) {
+    EXPECT_THROW((void)transport_manager::parse(unknown),
+                 std::invalid_argument)
+        << unknown;
+  }
 }
 
 TEST(TransportManager, NamesRoundTripThroughParse) {
-  for (const auto kind : {transport_kind::simulated, transport_kind::shm,
-                          transport_kind::socket}) {
+  for (const auto kind : {transport_kind::shm, transport_kind::socket}) {
     EXPECT_EQ(transport_manager::parse(transport_manager::name_of(kind)),
               kind);
   }
 }
 
 TEST(TransportManager, InProcessProtocolsHostEveryRank) {
-  for (const auto kind : {transport_kind::simulated, transport_kind::shm}) {
-    const auto t = transport_manager::make(3, topt_for(kind));
-    EXPECT_STREQ(t->name(), transport_manager::name_of(kind));
-    EXPECT_EQ(t->ranks(), 3);
-    EXPECT_EQ(t->local_rank_count(), 3);
-    for (int r = 0; r < 3; ++r) EXPECT_TRUE(t->is_local(r));
-  }
+  const auto t = transport_manager::make(3, topt_for(transport_kind::shm));
+  EXPECT_STREQ(t->name(), "shm");
+  EXPECT_EQ(t->ranks(), 3);
+  EXPECT_EQ(t->local_rank_count(), 3);
+  for (int r = 0; r < 3; ++r) EXPECT_TRUE(t->is_local(r));
+}
+
+TEST(TransportManager, WorldsDefaultToShm) {
+  EXPECT_EQ(transport_options{}.kind, transport_kind::shm);
+  world w(2);
+  EXPECT_STREQ(w.transport_name(), "shm");
 }
 
 TEST(SockWire, FrameHeaderRoundTripsLittleEndian) {
@@ -173,8 +178,8 @@ TEST(ChannelStore, EpochPurgeDropsOnlyStaleMessages) {
 }
 
 // ---------------------------------------------------------------------------
-// The conformance matrix: transport x world size, every scenario
-// bit-identical to the simulated oracle.
+// The conformance matrix: transport x world size, every scenario checked
+// against its recorded TransportGolden value.
 // ---------------------------------------------------------------------------
 
 /// Deterministic ring exchange with per-message payload fingerprints;
@@ -282,16 +287,40 @@ std::vector<rank_state> recovery_run(world& w, int steps,
   return out;
 }
 
-void expect_ranks_match(const std::vector<rank_state>& got,
-                        const std::vector<rank_state>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t r = 0; r < got.size(); ++r) {
-    EXPECT_EQ(got[r].steps, want[r].steps) << "rank " << r;
-    ASSERT_EQ(got[r].packed.size(), want[r].packed.size()) << "rank " << r;
-    EXPECT_EQ(0, std::memcmp(got[r].packed.data(), want[r].packed.data(),
-                             got[r].packed.size() * sizeof(double)))
-        << "rank " << r << ": packed state differs from the oracle";
+/// Each rank's data in rank order, then the final virtual clocks.
+void hash_ranks(test::fnv1a& h, const std::vector<std::vector<double>>& got,
+                const world& w) {
+  for (const auto& mine : got) h.values(mine);
+  h.values(w.final_clocks());
+}
+
+/// Each rank's packed state (Kahan bits included), step count and -
+/// for resilient runs - the recovery report fields, then the final
+/// virtual clocks.
+void hash_ranks(test::fnv1a& h, const std::vector<rank_state>& got,
+                const world& w) {
+  for (const auto& mine : got) {
+    h.values(mine.packed);
+    h.value(mine.steps);
+    h.value(mine.report.rounds);
+    h.values(mine.report.casualties);
+    h.value(mine.report.replayed_steps);
+    h.value(mine.report.commits);
   }
+  h.values(w.final_clocks());
+}
+
+/// The fault plane's bookkeeping of the last run.
+void hash_fault_report(test::fnv1a& h, const world::fault_report& rep) {
+  h.value(rep.stats);
+  for (const auto& mine : rep.deliveries) {
+    for (const auto& d : mine) {
+      h.value(d.source);
+      h.value(d.tag);
+      h.value(d.seq);
+    }
+  }
+  h.value(rep.rx_discards);
 }
 
 fault_config chaos_config(std::uint64_t seed) {
@@ -306,6 +335,32 @@ fault_config chaos_config(std::uint64_t seed) {
   return cfg;
 }
 
+/// TransportGolden: per world size, one recorded value per scenario
+/// below. Recorded from the in-process mailbox transport that served
+/// as this matrix's live oracle before shm took its place; shm and
+/// socket reproduced every value. A value of 0 (an empty list for the
+/// crash schedule) marks a scenario that needs more than one rank.
+struct transport_golden {
+  int ranks;
+  std::uint64_t p2p;          ///< ring payloads + clocks
+  std::uint64_t collectives;  ///< allreduce results + clocks
+  std::uint64_t halo;         ///< packed Kahan states + steps + clocks
+  std::uint64_t chaos;        ///< results + clocks + fault report
+  std::vector<int> crashed;   ///< ranks the crash schedule fells
+  std::uint64_t recovery;     ///< packed states + recovery reports + clocks
+};
+
+const transport_golden transport_goldens[] = {
+    {1, 0xc395b574328a0cf1ull, 0xb9398c450c98f921ull, 0xdbfcd1fe38600282ull,
+     0, {}, 0},
+    {2, 0x692d63526843e94aull, 0x6482431d2be1734bull, 0xf5d7a299e5329298ull,
+     0x8077d7e0664aa765ull, {0, 1}, 0xb1f4aeccfb1c4c4full},
+    {4, 0xdf1f7127e2aa58d5ull, 0x9d0a53cb4172f43bull, 0x3ad1a8d658275064ull,
+     0x44f43a245dc37741ull, {0, 1, 2, 3}, 0x9f43c8ab685948daull},
+    {8, 0x45308975c0af3250ull, 0x2b1559f4a827a4e3ull, 0x08cc61b634466d84ull,
+     0x8fe13444f1ddec93ull, {1, 2, 3, 4}, 0xe9683685b2a1a152ull},
+};
+
 class TransportConformance
     : public ::testing::TestWithParam<std::tuple<transport_kind, int>> {
  protected:
@@ -314,51 +369,55 @@ class TransportConformance
     SKIP_WITHOUT_LOOPBACK(kind_);
   }
 
-  transport_kind kind_ = transport_kind::simulated;
+  [[nodiscard]] const transport_golden& golden() const {
+    for (const auto& g : transport_goldens) {
+      if (g.ranks == ranks_) return g;
+    }
+    ADD_FAILURE() << "no TransportGolden row for p = " << ranks_;
+    return transport_goldens[0];
+  }
+
+  void expect_golden(const test::fnv1a& got, std::uint64_t want,
+                     const char* scenario) const {
+    EXPECT_EQ(got.h, want) << "TransportGolden " << scenario << " p"
+                           << ranks_ << ": got 0x" << std::hex << got.h;
+  }
+
+  transport_kind kind_ = transport_kind::shm;
   int ranks_ = 1;
 };
 
 TEST_P(TransportConformance, P2PPayloadsAndClocksMatchOracle) {
-  world oracle(ranks_);
-  const auto want = ring_run(oracle, /*rounds=*/6);
-
   world w(ranks_, {}, topt_for(kind_));
   const auto got = ring_run(w, /*rounds=*/6);
 
-  EXPECT_EQ(got, want);  // bitwise: the payload survived the wire
-  EXPECT_EQ(w.final_clocks(), oracle.final_clocks());
+  test::fnv1a h;
+  hash_ranks(h, got, w);  // bitwise: the payload survived the wire
+  expect_golden(h, golden().p2p, "p2p");
 }
 
 TEST_P(TransportConformance, CollectivesMatchOracle) {
-  world oracle(ranks_);
-  const auto want = allreduce_run(oracle, 37);
-
   world w(ranks_, {}, topt_for(kind_));
   const auto got = allreduce_run(w, 37);
 
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(w.final_clocks(), oracle.final_clocks());
+  test::fnv1a h;
+  hash_ranks(h, got, w);
+  expect_golden(h, golden().collectives, "collectives");
 }
 
 TEST_P(TransportConformance, HaloExchangeBitIdenticalKahanIncluded) {
-  world oracle(ranks_);
-  const auto want = halo_run(oracle, /*steps=*/6);
-
   world w(ranks_, {}, topt_for(kind_));
   const auto got = halo_run(w, /*steps=*/6);
 
-  expect_ranks_match(got, want);
-  EXPECT_EQ(w.final_clocks(), oracle.final_clocks());
+  test::fnv1a h;
+  hash_ranks(h, got, w);
+  expect_golden(h, golden().halo, "halo");
 }
 
 TEST_P(TransportConformance, ChaosTraceMatchesOracleExactly) {
   if (ranks_ < 2) GTEST_SKIP() << "chaos needs a peer";
 
   // Seed 1 injects at every world size in this matrix (retries > 0).
-  world oracle(ranks_);
-  oracle.set_faults(chaos_config(1));
-  const auto want = allreduce_run(oracle, 37, /*rounds=*/12);
-
   world w(ranks_, {}, topt_for(kind_));
   w.set_faults(chaos_config(1));
   const auto got = allreduce_run(w, 37, /*rounds=*/12);
@@ -368,16 +427,12 @@ TEST_P(TransportConformance, ChaosTraceMatchesOracleExactly) {
   // preserves per-channel FIFO, and the matcher takes the lowest
   // sequence first - so delivery orders are independent of real-time
   // arrival interleaving.
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(w.final_clocks(), oracle.final_clocks());
-  const auto& a = w.last_fault_report();
-  const auto& b = oracle.last_fault_report();
-  EXPECT_EQ(a.stats, b.stats);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.rx_discards, b.rx_discards);
-  EXPECT_TRUE(a.crashed.empty());
-  EXPECT_TRUE(b.crashed.empty());
-  EXPECT_GT(a.stats.retries, 0u);  // chaos actually fired
+  test::fnv1a h;
+  hash_ranks(h, got, w);
+  hash_fault_report(h, w.last_fault_report());
+  expect_golden(h, golden().chaos, "chaos");
+  EXPECT_TRUE(w.last_fault_report().crashed.empty());
+  EXPECT_GT(w.last_fault_report().stats.retries, 0u);  // chaos fired
 }
 
 TEST_P(TransportConformance, CrashSchedulesRaiseIdenticalTypedErrors) {
@@ -388,34 +443,23 @@ TEST_P(TransportConformance, CrashSchedulesRaiseIdenticalTypedErrors) {
   cfg.crashes.push_back({1, 3});  // rank 1 dies mid-ring
   cfg.retry.max_retries = 4;      // keep the cascade bounded
 
-  const auto crash_reason = [&](world& w) {
-    try {
-      (void)ring_run(w, 6);
-      ADD_FAILURE() << "expected comm_error";
-      return comm_error::reason::unrecoverable;
-    } catch (const comm_error& e) {
-      return e.why();
-    }
-  };
-
-  world oracle(ranks_);
-  oracle.set_faults(cfg);
-  const auto want_reason = crash_reason(oracle);
-
   world w(ranks_, {}, topt_for(kind_));
   w.set_faults(cfg);
-  const auto got_reason = crash_reason(w);
+  comm_error::reason why = comm_error::reason::unrecoverable;
+  try {
+    (void)ring_run(w, 6);
+    ADD_FAILURE() << "expected comm_error";
+  } catch (const comm_error& e) {
+    why = e.why();
+  }
 
   // Typed-error parity: the same crash schedule fells the same ranks
   // with the same reason category on every transport.
-  EXPECT_EQ(w.last_fault_report().crashed,
-            oracle.last_fault_report().crashed);
+  EXPECT_EQ(w.last_fault_report().crashed, golden().crashed);
   EXPECT_FALSE(w.last_fault_report().crashed.empty());
-  for (const auto why : {got_reason, want_reason}) {
-    EXPECT_TRUE(why == comm_error::reason::peer_crashed ||
-                why == comm_error::reason::retries_exhausted)
-        << "unexpected reason " << static_cast<int>(why);
-  }
+  EXPECT_TRUE(why == comm_error::reason::peer_crashed ||
+              why == comm_error::reason::retries_exhausted)
+      << "unexpected reason " << static_cast<int>(why);
 }
 
 TEST_P(TransportConformance, CrashRecoveryBitIdenticalToOracle) {
@@ -428,30 +472,19 @@ TEST_P(TransportConformance, CrashRecoveryBitIdenticalToOracle) {
   swm::resilience_options opt;
   opt.checkpoint_interval = 4;
 
-  world oracle(ranks_);
-  oracle.set_faults(cfg);
-  const auto want = recovery_run(oracle, steps, opt);
-
   world w(ranks_, {}, topt_for(kind_));
   w.set_faults(cfg);
   const auto got = recovery_run(w, steps, opt);
 
-  expect_ranks_match(got, want);
-  for (std::size_t r = 0; r < got.size(); ++r) {
-    EXPECT_EQ(got[r].report.rounds, want[r].report.rounds) << "rank " << r;
-    EXPECT_EQ(got[r].report.casualties, want[r].report.casualties)
-        << "rank " << r;
-    EXPECT_EQ(got[r].report.replayed_steps, want[r].report.replayed_steps)
-        << "rank " << r;
-    EXPECT_EQ(got[r].report.commits, want[r].report.commits) << "rank " << r;
-  }
+  test::fnv1a h;
+  hash_ranks(h, got, w);
+  expect_golden(h, golden().recovery, "recovery");
   EXPECT_GT(got[0].report.rounds, 0);  // the crash actually happened
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, TransportConformance,
-    ::testing::Combine(::testing::Values(transport_kind::simulated,
-                                         transport_kind::shm,
+    ::testing::Combine(::testing::Values(transport_kind::shm,
                                          transport_kind::socket),
                        ::testing::Values(1, 2, 4, 8)),
     [](const auto& param_info) {
@@ -594,7 +627,7 @@ TEST(SocketFailure, CleanPeerExitStillPoisonsTheChannel) {
 
 // ---------------------------------------------------------------------------
 // The headline acceptance test: the same SWM binary, four separate
-// processes over real TCP, bit-identical to the in-process oracle.
+// processes over real TCP, bit-identical to an in-process shm run.
 // ---------------------------------------------------------------------------
 
 #ifdef TFX_DISTRIBUTED_SWM_BIN
@@ -621,11 +654,15 @@ pid_t spawn_swm(const std::vector<std::string>& extra_args) {
   std::_Exit(127);
 }
 
-bool wait_ok(pid_t pid) {
+/// The exit status of a normally exited child, or -1 (killed by a
+/// signal, or not waitable).
+int exit_status(pid_t pid) {
   int status = 0;
-  if (::waitpid(pid, &status, 0) != pid) return false;
-  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  if (::waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
+
+bool wait_ok(pid_t pid) { return exit_status(pid) == 0; }
 
 std::vector<char> slurp(const std::string& path) {
   std::vector<char> bytes;
@@ -642,6 +679,15 @@ std::vector<char> slurp(const std::string& path) {
 
 }  // namespace
 
+TEST(TransportProcessMode, UnknownTransportNamePrintsUsage) {
+  // A name parse() rejects is a usage error like any other bad flag:
+  // exit status 2, not an uncaught exception.
+  for (const char* name : {"carrier-pigeon", "simulated"}) {
+    EXPECT_EQ(exit_status(spawn_swm({std::string("--transport=") + name})), 2)
+        << name;
+  }
+}
+
 TEST(TransportProcessMode, FourProcessTcpRunBitIdenticalToOracle) {
   if (!transport_manager::loopback_available()) {
     GTEST_SKIP() << "loopback TCP unavailable in this sandbox";
@@ -652,8 +698,8 @@ TEST(TransportProcessMode, FourProcessTcpRunBitIdenticalToOracle) {
   const std::string steps = "--steps=8";
   const std::string scheme = "--scheme=compensated";
 
-  // In-process oracle over the simulated fabric.
-  ASSERT_TRUE(wait_ok(spawn_swm({"--transport=simulated", "--ranks=4", steps,
+  // In-process reference over shm channels.
+  ASSERT_TRUE(wait_ok(spawn_swm({"--transport=shm", "--ranks=4", steps,
                                  scheme, "--out=" + oracle_prefix})));
 
   // The same binary, once per rank, agreeing on a coordinator port.
@@ -675,7 +721,7 @@ TEST(TransportProcessMode, FourProcessTcpRunBitIdenticalToOracle) {
     ASSERT_EQ(got.size(), want.size()) << "rank " << r;
     EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size()))
         << "rank " << r
-        << ": process-mode state differs from the in-process oracle";
+        << ": process-mode state differs from the in-process shm run";
   }
 }
 #endif  // TFX_DISTRIBUTED_SWM_BIN

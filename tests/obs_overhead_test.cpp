@@ -157,68 +157,62 @@ TEST(ZeroOverhead, EnabledPooledStepsAllocationFreeAfterWarmup) {
 
 // ---------------------------------------------------------------------------
 // Tracing is an observer: a traced trajectory advances bit-for-bit the
-// same state as an untraced one, fused and unfused, standard and
-// compensated.
+// same state as an untraced one, standard and compensated.
 // ---------------------------------------------------------------------------
 
 TEST(ZeroOverhead, TracedTrajectoryBitIdenticalToUntraced) {
   for (const auto scheme :
        {integration_scheme::standard, integration_scheme::compensated}) {
-    for (const auto pipeline :
-         {update_pipeline::fused, update_pipeline::unfused}) {
-      model<double> plain(test_params(), scheme);
-      plain.set_pipeline(pipeline);
-      plain.seed_random_eddies(11, 0.5);
-      plain.run(6);
-      const auto want = state_bits(plain);
+    model<double> plain(test_params(), scheme);
+    plain.seed_random_eddies(11, 0.5);
+    plain.run(6);
+    const auto want = state_bits(plain);
 
-      obs::metrics_registry::instance().clear();
-      obs::start();
-      model<double> traced(test_params(), scheme);
-      traced.set_pipeline(pipeline);
-      traced.seed_random_eddies(11, 0.5);
-      traced.run(6);
-      obs::stop();
-      const auto got = state_bits(traced);
+    obs::metrics_registry::instance().clear();
+    obs::start();
+    model<double> traced(test_params(), scheme);
+    traced.seed_random_eddies(11, 0.5);
+    traced.run(6);
+    obs::stop();
+    const auto got = state_bits(traced);
 
-      ASSERT_EQ(want.size(), got.size());
-      EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
-                               want.size() * sizeof(double)))
-          << "tracing perturbed the trajectory";
+    ASSERT_EQ(want.size(), got.size());
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                             want.size() * sizeof(double)))
+        << "tracing perturbed the trajectory";
 
-      // The trace really recorded the steps it watched: 6 step spans,
-      // each nesting 4 rk4.stage spans and one rk4.apply, plus the
-      // measured-vs-predicted traffic counter. (Bit-identity above is
-      // meaningful either way; the event census needs the plane in.)
-      if (!obs::compiled) continue;
-      const auto events = obs::collect();
-      std::size_t steps = 0, stages = 0, applies = 0, counters = 0;
-      for (const auto& e : events) {
-        if (e.dom != obs::domain::swm) continue;
-        if (e.what == obs::kind::begin &&
-            std::strcmp(e.name, "swm.step") == 0) {
-          ++steps;
-        }
-        if (e.what == obs::kind::begin &&
-            std::strcmp(e.name, "rk4.stage") == 0) {
-          ++stages;
-        }
-        if (e.what == obs::kind::begin &&
-            std::strcmp(e.name, "rk4.apply") == 0) {
-          ++applies;
-        }
-        if (e.what == obs::kind::counter &&
-            std::strcmp(e.name, "swm.update_bytes") == 0) {
-          ++counters;
-          // The model's own sweep accounting agrees with the
-          // perfmodel's source-derived prediction exactly.
-          EXPECT_EQ(e.a, e.b) << "measured != predicted update bytes";
-        }
+    // The trace really recorded the steps it watched: 6 step spans,
+    // each nesting 4 rk4.stage spans and one rk4.apply, plus the
+    // measured-vs-predicted traffic counter. (Bit-identity above is
+    // meaningful either way; the event census needs the plane in.)
+    if (!obs::compiled) continue;
+    const auto events = obs::collect();
+    std::size_t steps = 0, stages = 0, applies = 0, counters = 0;
+    for (const auto& e : events) {
+      if (e.dom != obs::domain::swm) continue;
+      if (e.what == obs::kind::begin &&
+          std::strcmp(e.name, "swm.step") == 0) {
+        ++steps;
       }
-      EXPECT_EQ(steps, 6u);
-      EXPECT_EQ(stages, 24u);
-      EXPECT_EQ(applies, 6u);
-      EXPECT_EQ(counters, 6u);
+      if (e.what == obs::kind::begin &&
+          std::strcmp(e.name, "rk4.stage") == 0) {
+        ++stages;
+      }
+      if (e.what == obs::kind::begin &&
+          std::strcmp(e.name, "rk4.apply") == 0) {
+        ++applies;
+      }
+      if (e.what == obs::kind::counter &&
+          std::strcmp(e.name, "swm.update_bytes") == 0) {
+        ++counters;
+        // The model's own sweep accounting agrees with the
+        // perfmodel's source-derived prediction exactly.
+        EXPECT_EQ(e.a, e.b) << "measured != predicted update bytes";
+      }
     }
+    EXPECT_EQ(steps, 6u);
+    EXPECT_EQ(stages, 24u);
+    EXPECT_EQ(applies, 6u);
+    EXPECT_EQ(counters, 6u);
   }
 }

@@ -465,7 +465,7 @@ TEST(HaloAlloc, MultiRankStepsAllocateSteadyState) {
   // With neighbours, a step inherently allocates (mpisim copies each
   // payload into the mailbox), but the per-step count must be steady
   // once the engine's buffers are warm. Whole-run totals are compared;
-  // they carry bounded timing noise (mailbox deques grow by blocks to
+  // they carry bounded timing noise (mailbox channel queues grow to
   // the peak queue depth, which depends on the thread interleaving,
   // and the delivery log doubles amortized), so the windows are made
   // wide - 24 steps each - and the tolerance covers only that bounded

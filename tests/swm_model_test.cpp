@@ -18,6 +18,8 @@
 #include "swm/model.hpp"
 #include "swm/output.hpp"
 
+#include "golden_hash.hpp"
+
 using namespace tfx::swm;
 using tfx::thread_pool;
 using tfx::fp::float16;
@@ -285,34 +287,19 @@ void PrintTo(const golden_case& c, std::ostream* os) { *os << case_name(c); }
 constexpr int golden_ny = 8;
 constexpr int golden_steps = 8;
 
-struct fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
+template <typename V>
+void hash_fields(tfx::test::fnv1a& h, const state<V>& s) {
+  for (const auto* f : {&s.u, &s.v, &s.eta}) h.values(f->flat());
+}
 
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t k = 0; k < n; ++k) {
-      h ^= b[k];
-      h *= 1099511628211ull;
-    }
+void hash_histogram(tfx::test::fnv1a& h, const fp::exponent_histogram& hist) {
+  h.value(hist.zeros());
+  h.value(hist.nonfinite());
+  for (int e = fp::exponent_histogram::min_exponent;
+       e <= fp::exponent_histogram::max_exponent; ++e) {
+    h.value(hist.count(e));
   }
-
-  template <typename V>
-  void fields(const state<V>& s) {
-    for (const auto* f : {&s.u, &s.v, &s.eta}) {
-      for (const V& x : f->flat()) bytes(&x, sizeof x);
-    }
-  }
-
-  void histogram(const fp::exponent_histogram& hist) {
-    const std::uint64_t head[] = {hist.zeros(), hist.nonfinite()};
-    bytes(head, sizeof head);
-    for (int e = fp::exponent_histogram::min_exponent;
-         e <= fp::exponent_histogram::max_exponent; ++e) {
-      const std::uint64_t n = hist.count(e);
-      bytes(&n, sizeof n);
-    }
-  }
-};
+}
 
 struct golden_hashes {
   std::uint64_t state = 0;
@@ -338,9 +325,9 @@ golden_hashes run_golden(const swm_params& p, integration_scheme scheme,
   m.seed_random_eddies(7, 0.5);
   m.run(golden_steps);
   EXPECT_TRUE(m.diag().finite);
-  fnv1a st;
-  st.fields(m.prognostic());
-  st.fields(m.compensation());
+  tfx::test::fnv1a st;
+  hash_fields(st, m.prognostic());
+  hash_fields(st, m.compensation());
   golden_hashes out{st.h, 0};
   if constexpr (std::is_same_v<T, fp::sherlog32>) {
     std::vector<fp::exponent_histogram> parts(
@@ -350,8 +337,8 @@ golden_hashes run_golden(const swm_params& p, integration_scheme scheme,
     });
     fp::exponent_histogram all;
     for (const auto& part : parts) all.merge(part);
-    fnv1a sink;
-    sink.histogram(all);
+    tfx::test::fnv1a sink;
+    hash_histogram(sink, all);
     out.sink = sink.h;
   }
   return out;

@@ -5,12 +5,41 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <tuple>
 
 #include "swm/perfmodel.hpp"
 
 using namespace tfx::swm;
 using tfx::arch::fugaku_node;
+
+TEST(PerfModel, FusedStepMatchesFrozenFusionRows) {
+  // The modeled rows of BENCH_fusion.json at Fig. 5's largest grid:
+  // update loops, update bytes and step bytes exactly, and the step
+  // time to the seven significant digits the file prints.
+  struct row {
+    precision_config config;
+    std::uint64_t update_sweeps;
+    std::uint64_t update_bytes;
+    std::uint64_t bytes_moved;
+    const char* seconds;
+  };
+  const row rows[] = {
+      {config_float64(), 4, 1620000000, 5364000000, "9.410811e-02"},
+      {config_float32(), 4, 810000000, 2682000000, "4.705548e-02"},
+      {config_float16(), 4, 459000000, 1395000000, "2.447967e-02"},
+      {config_float16_32(), 8, 945000000, 1881000000, "3.299905e-02"},
+  };
+  for (const row& r : rows) {
+    const step_cost c = predict_step(fugaku_node, 3000, 1500, r.config);
+    EXPECT_EQ(c.update_sweeps, r.update_sweeps) << r.config.name;
+    EXPECT_EQ(c.update_bytes, r.update_bytes) << r.config.name;
+    EXPECT_EQ(c.bytes_moved, r.bytes_moved) << r.config.name;
+    char printed[32];
+    std::snprintf(printed, sizeof printed, "%.6e", c.seconds);
+    EXPECT_STREQ(printed, r.seconds) << r.config.name;
+  }
+}
 
 TEST(PerfModel, ConfigsDescribeThePaperVariants) {
   EXPECT_EQ(config_float64().elem_bytes, 8u);
