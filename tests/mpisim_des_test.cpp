@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "mpisim/collectives.hpp"
 #include "mpisim/des.hpp"
 #include "mpisim/patterns.hpp"
 #include "mpisim/runtime.hpp"
+#include "obs/trace.hpp"
+
+#include "golden_hash.hpp"
 
 using namespace tfx::mpisim;
 
@@ -201,4 +206,189 @@ TEST(Des, ResultStatistics) {
   const auto res = simulate(make_barrier_program(2), net, place);
   EXPECT_LE(res.min_clock(), res.avg_clock());
   EXPECT_LE(res.avg_clock(), res.max_clock());
+}
+
+// ---------------------------------------------------------------------------
+// Program goldens: the exact op lists every program builder produces,
+// recorded from the hand-written generators that preceded the capture
+// (patterns.hpp). Each hash folds a whole grid of programs: per rank
+// its op count, then every op's kind, peer, bytes and the bits of its
+// compute seconds.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+void hash_program(tfx::test::fnv1a& h, const sim_program& prog) {
+  h.value(prog.size());
+  for (const auto& ops : prog.ranks) {
+    h.value(ops.size());
+    for (const sim_op& op : ops) {
+      h.value(op.what);
+      h.value(op.peer);
+      h.value(op.bytes);
+      h.value(op.seconds);
+    }
+  }
+}
+
+constexpr int golden_ranks[] = {1, 2, 3, 5, 8, 9, 16, 17, 100, 1536};
+constexpr std::size_t golden_elems[] = {1, 4, 8};
+/// 1024 x 8 B sits exactly on the automatic threshold, 1025 x 8 B just
+/// above it; 1 and 7 leave most ring and Rabenseifner blocks empty.
+constexpr std::size_t golden_counts[] = {1, 7, 1024, 1025, 10000};
+/// Ring and allgather programs grow as O(p^2): keep them small.
+constexpr int quadratic_max_ranks = 100;
+
+std::array<int, 3> golden_roots(int p) { return {0, p / 2, p - 1}; }
+
+/// Hash `build(p, count, elem)` over every rank count (up to `max_p`),
+/// element size and count of the grid.
+template <typename Build>
+std::uint64_t grid_hash(Build&& build, int max_p = 1 << 30) {
+  tfx::test::fnv1a h;
+  for (const int p : golden_ranks) {
+    if (p > max_p) continue;
+    for (const std::size_t elem : golden_elems) {
+      for (const std::size_t count : golden_counts) {
+        build(h, p, count, elem);
+      }
+    }
+  }
+  return h.h;
+}
+
+void expect_golden(const char* name, std::uint64_t got, std::uint64_t want) {
+  EXPECT_EQ(got, want) << name << ": got 0x" << std::hex << got;
+}
+
+}  // namespace
+
+TEST(ProgramGolden, Barrier) {
+  tfx::test::fnv1a h;
+  for (const int p : golden_ranks) hash_program(h, make_barrier_program(p));
+  expect_golden("barrier", h.h, 0x5dd097eb9f553c98ull);
+}
+
+TEST(ProgramGolden, Bcast) {
+  expect_golden("bcast",
+                grid_hash([](auto& h, int p, std::size_t count,
+                             std::size_t elem) {
+                  for (const int root : golden_roots(p)) {
+                    hash_program(h, make_bcast_program(p, count, elem, root));
+                  }
+                }),
+                0xb30f925f0792e9a2ull);
+}
+
+TEST(ProgramGolden, Reduce) {
+  const tofud_params net;
+  expect_golden("reduce",
+                grid_hash([&](auto& h, int p, std::size_t count,
+                              std::size_t elem) {
+                  for (const int root : golden_roots(p)) {
+                    hash_program(
+                        h, make_reduce_program(net, p, count, elem, root));
+                  }
+                }),
+                0x92d42eb329ca3397ull);
+}
+
+TEST(ProgramGolden, Allreduce) {
+  const tofud_params net;
+  const struct {
+    coll_algorithm algo;
+    const char* name;
+    std::uint64_t want;
+  } cases[] = {
+      {coll_algorithm::automatic, "automatic", 0xd880e302007ce3a8ull},
+      {coll_algorithm::recursive_doubling, "recursive_doubling", 0x3ae29be1f08aa844ull},
+      {coll_algorithm::ring, "ring", 0xb49119afe6350d6bull},
+      {coll_algorithm::rabenseifner, "rabenseifner", 0x100f2336030e7716ull},
+  };
+  for (const auto& c : cases) {
+    const int max_p = c.algo == coll_algorithm::ring ? quadratic_max_ranks
+                                                     : 1 << 30;
+    expect_golden(c.name,
+                  grid_hash(
+                      [&](auto& h, int p, std::size_t count,
+                          std::size_t elem) {
+                        hash_program(h, make_allreduce_program(
+                                            net, p, count, elem, c.algo));
+                      },
+                      max_p),
+                  c.want);
+  }
+}
+
+TEST(ProgramGolden, HierarchicalAllreduce) {
+  const tofud_params net;
+  const torus_placement placements[] = {
+      {{2, 2, 1}, 4}, {{3, 1, 1}, 3}, {{2, 3, 1}, 2},
+      {{4, 6, 16}, 4}, {{8, 8, 16}, 4}};
+  const struct {
+    coll_algorithm algo;
+    const char* name;
+    std::uint64_t want;
+  } cases[] = {
+      {coll_algorithm::automatic, "automatic", 0xed7510d2787ef3cfull},
+      {coll_algorithm::recursive_doubling, "recursive_doubling", 0x2b8f932d966adc47ull},
+      {coll_algorithm::ring, "ring", 0xeaa391bd7a136fadull},
+      {coll_algorithm::rabenseifner, "rabenseifner", 0xab4f51b146879ce0ull},
+  };
+  for (const auto& c : cases) {
+    tfx::test::fnv1a h;
+    for (const auto& place : placements) {
+      // The leaders' ring is O(nodes^2) ops, like the flat ring.
+      if (c.algo == coll_algorithm::ring &&
+          place.node_count() > quadratic_max_ranks) {
+        continue;
+      }
+      for (const std::size_t elem : golden_elems) {
+        for (const std::size_t count : golden_counts) {
+          hash_program(h, make_hierarchical_allreduce_program(
+                              net, place, count, elem, c.algo));
+        }
+      }
+    }
+    expect_golden(c.name, h.h, c.want);
+  }
+}
+
+TEST(ProgramGolden, Gatherv) {
+  expect_golden("gatherv",
+                grid_hash([](auto& h, int p, std::size_t count,
+                             std::size_t elem) {
+                  for (const int root : golden_roots(p)) {
+                    hash_program(h, make_gatherv_program(p, count, elem, root));
+                  }
+                }),
+                0x1af427800fa96d0full);
+}
+
+TEST(ProgramGolden, Allgather) {
+  expect_golden("allgather",
+                grid_hash(
+                    [](auto& h, int p, std::size_t count, std::size_t elem) {
+                      hash_program(h, make_allgather_program(p, count, elem));
+                    },
+                    quadratic_max_ranks),
+                0x0061801e57a50fc6ull);
+}
+
+// Building a program leaves no trace: tracing a run that builds DES
+// programs must not log a collective span per simulated rank.
+TEST(ProgramCapture, EmitsNoTraceEvents) {
+  const tofud_params net;
+  tfx::obs::start();
+  const auto flat = make_allreduce_program(net, 64, 1000, 8,
+                                           coll_algorithm::automatic);
+  const auto hier = make_hierarchical_allreduce_program(
+      net, torus_placement({2, 2, 1}, 4), 4096, 8);
+  const auto events = tfx::obs::collect();
+  tfx::obs::stop();
+  EXPECT_FALSE(flat.ranks[0].empty());
+  EXPECT_FALSE(hier.ranks[0].empty());
+  for (const auto& e : events) {
+    EXPECT_NE(e.dom, tfx::obs::domain::net) << e.name;
+  }
 }
