@@ -8,8 +8,8 @@
 ///   * Barrier    - dissemination
 ///   * Bcast      - binomial tree
 ///   * Reduce     - binomial tree (commutative ops)
-///   * Allreduce  - recursive doubling (small), ring
-///                  reduce-scatter + allgather (large)
+///   * Allreduce  - recursive doubling (up to 8 KiB), Rabenseifner
+///                  reduce-scatter + allgather (larger); ring on request
 ///   * Gather(v)  - linear to root (what IMB's Gatherv measures)
 ///   * Scatter    - linear from root
 ///   * Allgather  - ring
@@ -18,10 +18,16 @@
 /// Every implementation is a template over the element type and
 /// reduction functor, mirroring how MPI.jl exposes collectives over
 /// Julia types. Virtual time accrues through the same p2p rules as any
-/// user code, plus a modeled per-byte combine cost for reductions;
-/// patterns.hpp re-states the same algorithms as event schedules for
-/// the large-scale discrete-event runs, and the two are pinned against
-/// each other in tests/mpisim_des_test.
+/// user code, plus a modeled per-byte combine cost for reductions.
+///
+/// These templates are also the discrete-event engine's schedules:
+/// patterns.hpp captures a DES program by running them, rank by rank,
+/// against a recording communicator that appends a send, receive or
+/// compute op where a real one would move data or advance the clock.
+/// The capture is exact because a collective's control flow reads only
+/// rank, size, counts and root, never payload. So a change here reaches
+/// the 1536-rank DES runs with no second copy to edit, and any new
+/// collective the capture runs must keep that property.
 
 #include <algorithm>
 #include <cstddef>
@@ -42,11 +48,9 @@ inline constexpr int collective_tag_base = 1 << 20;
 /// would (message-size based).
 enum class coll_algorithm {
   automatic,
-  binomial_tree,
   recursive_doubling,
   ring,
   rabenseifner,  ///< reduce-scatter (recursive halving) + allgather
-  linear,
 };
 
 /// Message size (bytes) at which automatic Allreduce switches from
@@ -104,17 +108,18 @@ decltype(auto) with_comm_context(const char* coll, F&& body) {
 /// Comm-aware variant: additionally wraps the body in a virtual-clock
 /// trace span on the rank's `net` track (closed during unwinding too,
 /// so B/E pairs stay balanced when a collective dies of comm_error).
+/// A communicator without a clock - the DES program capture's recorder
+/// (patterns.cpp) - gets no span.
 template <typename Comm, typename F>
 decltype(auto) with_comm_context(const char* coll, Comm& comm, F&& body) {
-  const tfx::obs::scoped_vspan span(
-      tfx::obs::domain::net, static_cast<std::uint16_t>(comm.rank()), coll,
-      [&comm] { return comm.now(); },
-      static_cast<std::uint64_t>(comm.size()));
-  try {
-    return std::forward<F>(body)();
-  } catch (const comm_error& e) {
-    throw comm_error(e.why(), e.peer(),
-                     std::string(coll) + ": " + e.what());
+  if constexpr (requires { comm.now(); }) {
+    const tfx::obs::scoped_vspan span(
+        tfx::obs::domain::net, static_cast<std::uint16_t>(comm.rank()), coll,
+        [&comm] { return comm.now(); },
+        static_cast<std::uint64_t>(comm.size()));
+    return with_comm_context(coll, std::forward<F>(body));
+  } else {
+    return with_comm_context(coll, std::forward<F>(body));
   }
 }
 
@@ -146,6 +151,7 @@ void reduce_inplace(Comm& comm, std::span<T> acc, Op op, int root,
                     std::span<T> incoming) {
   const int p = comm.size();
   const int r = comm.rank();
+  TFX_EXPECTS(root >= 0 && root < p);
   TFX_EXPECTS(incoming.size() >= acc.size());
   const int tag = collective_tag_base + 32;
   const int vrank = (r - root + p) % p;
@@ -240,9 +246,8 @@ void reduce(Comm& comm, std::span<const T> in, std::span<T> out,
 namespace detail {
 
 /// Recursive-doubling allreduce with the MPICH non-power-of-two
-/// fold-in/fold-out phases. `incoming` is caller-provided scratch of
-/// at least acc.size() elements (the allocating overload below keeps
-/// the historical signature).
+/// fold-in/fold-out phases. `scratch` is caller-provided, at least
+/// acc.size() elements.
 template <typename T, typename Op, typename Comm>
 void allreduce_rdoubling(Comm& comm, std::span<T> acc, Op op,
                          std::span<T> scratch) {
@@ -290,12 +295,6 @@ void allreduce_rdoubling(Comm& comm, std::span<T> acc, Op op,
       comm.recv(acc, r - 1, tag);
     }
   }
-}
-
-template <typename T, typename Op, typename Comm>
-void allreduce_rdoubling(Comm& comm, std::span<T> acc, Op op) {
-  std::vector<T> incoming(acc.size());
-  allreduce_rdoubling(comm, acc, op, std::span<T>(incoming));
 }
 
 /// Ring allreduce: reduce-scatter then allgather, P-1 rounds each,
@@ -348,12 +347,6 @@ void allreduce_ring(Comm& comm, std::span<T> acc, Op op,
               incoming.begin() + static_cast<std::ptrdiff_t>(in_seg.size()),
               in_seg.begin());
   }
-}
-
-template <typename T, typename Op, typename Comm>
-void allreduce_ring(Comm& comm, std::span<T> acc, Op op) {
-  std::vector<T> incoming(acc.size());
-  allreduce_ring(comm, acc, op, std::span<T>(incoming));
 }
 
 /// Rabenseifner's allreduce: recursive-halving reduce-scatter followed
@@ -456,15 +449,10 @@ void allreduce_rabenseifner(Comm& comm, std::span<T> acc, Op op,
   }
 }
 
-template <typename T, typename Op, typename Comm>
-void allreduce_rabenseifner(Comm& comm, std::span<T> acc, Op op) {
-  std::vector<T> incoming(acc.size());
-  allreduce_rabenseifner(comm, acc, op, std::span<T>(incoming));
-}
-
-/// In-place allreduce on `acc` with caller-provided scratch, resolving
-/// `automatic` with the same threshold as allreduce(). The engine of
-/// hierarchy::allreduce's leader phase.
+/// In-place allreduce on `acc` with caller-provided scratch: the one
+/// algorithm dispatch behind allreduce(), hierarchy::allreduce's leader
+/// phase and make_allreduce_program. `automatic` picks recursive
+/// doubling up to allreduce_ring_threshold bytes, Rabenseifner above.
 template <typename T, typename Op, typename Comm>
 void allreduce_inplace(Comm& comm, std::span<T> acc, Op op,
                        coll_algorithm algo, std::span<T> scratch) {
@@ -475,18 +463,12 @@ void allreduce_inplace(Comm& comm, std::span<T> acc, Op op,
                : coll_algorithm::rabenseifner;
   }
   with_comm_context("allreduce", comm, [&] {
-    switch (algo) {
-      case coll_algorithm::recursive_doubling:
-        allreduce_rdoubling(comm, acc, op, scratch);
-        break;
-      case coll_algorithm::ring:
-        allreduce_ring(comm, acc, op, scratch);
-        break;
-      case coll_algorithm::rabenseifner:
-        allreduce_rabenseifner(comm, acc, op, scratch);
-        break;
-      default:
-        TFX_EXPECTS(false && "allreduce_inplace: unsupported algorithm");
+    if (algo == coll_algorithm::recursive_doubling) {
+      allreduce_rdoubling(comm, acc, op, scratch);
+    } else if (algo == coll_algorithm::ring) {
+      allreduce_ring(comm, acc, op, scratch);
+    } else {
+      allreduce_rabenseifner(comm, acc, op, scratch);
     }
   });
 }
@@ -500,30 +482,8 @@ void allreduce(Comm& comm, std::span<const T> in, std::span<T> out,
   TFX_EXPECTS(in.size() == out.size());
   std::copy(in.begin(), in.end(), out.begin());
   if (comm.size() == 1) return;
-
-  if (algo == coll_algorithm::automatic) {
-    algo = in.size() * sizeof(T) <= allreduce_ring_threshold
-               ? coll_algorithm::recursive_doubling
-               : coll_algorithm::rabenseifner;
-  }
-  detail::with_comm_context("allreduce", comm, [&] {
-    switch (algo) {
-      case coll_algorithm::recursive_doubling:
-        detail::allreduce_rdoubling(comm, out, op);
-        break;
-      case coll_algorithm::ring:
-        detail::allreduce_ring(comm, out, op);
-        break;
-      case coll_algorithm::rabenseifner:
-        detail::allreduce_rabenseifner(comm, out, op);
-        break;
-      default:
-        // Fall back to reduce + bcast for the tree/linear selectors.
-        reduce(comm, in, out, op, 0);
-        bcast(comm, out, 0);
-        break;
-    }
-  });
+  std::vector<T> scratch(in.size());
+  detail::allreduce_inplace(comm, out, op, algo, std::span<T>(scratch));
 }
 
 /// Crash-tolerant agreement primitive of rollback recovery
@@ -538,9 +498,11 @@ template <typename Comm>
 [[nodiscard]] std::uint64_t agree_max(Comm& comm, std::uint64_t value) {
   std::uint64_t acc = value;
   if (comm.size() == 1) return acc;
+  std::uint64_t incoming = 0;
   detail::with_comm_context("agree", comm, [&] {
     detail::allreduce_rdoubling(comm, std::span<std::uint64_t>(&acc, 1),
-                                ops::max{});
+                                ops::max{},
+                                std::span<std::uint64_t>(&incoming, 1));
   });
   return acc;
 }
@@ -553,6 +515,7 @@ void gatherv(Comm& comm, std::span<const T> in,
              int root) {
   const int p = comm.size();
   const int r = comm.rank();
+  TFX_EXPECTS(root >= 0 && root < p);
   TFX_EXPECTS(static_cast<int>(counts.size()) == p);
   TFX_EXPECTS(in.size() == counts[static_cast<std::size_t>(r)]);
   const int tag = collective_tag_base + 80;
@@ -593,6 +556,7 @@ void scatter(Comm& comm, std::span<const T> in, std::span<T> out,
   const int r = comm.rank();
   const int tag = collective_tag_base + 96;
   const std::size_t count = out.size();
+  TFX_EXPECTS(root >= 0 && root < p);
 
   if (r == root) {
     TFX_EXPECTS(in.size() == count * static_cast<std::size_t>(p));

@@ -79,8 +79,9 @@ struct des_result {
 /// injects the same deterministic fault schedule the threaded runtime
 /// would (crashed ranks halt and cascade instead of deadlocking).
 /// `opts.fabric` selects the endpoint-only or the link-contention
-/// fabric (docs/TOPOLOGY.md). Aborts on deadlock (malformed program),
-/// which cannot happen for the generators in patterns.hpp.
+/// fabric (docs/TOPOLOGY.md). Aborts on deadlock (malformed program).
+/// The programs patterns.hpp captures are the collectives' own
+/// schedules, so they deadlock only where the threaded runtime would.
 des_result simulate(const sim_program& prog, const tofud_params& net,
                     const torus_placement& place,
                     std::vector<double> start_clocks = {},

@@ -35,6 +35,26 @@
 
 namespace tfx::mpisim {
 
+namespace detail {
+
+/// The hierarchical allreduce of `acc` in place: binomial reduce to the
+/// node's local rank 0, the leaders' flat allreduce (`algo`), binomial
+/// bcast back over the node. `leaders` is used on local rank 0 only.
+/// hierarchy::allreduce runs this over its cached sub-communicators;
+/// make_hierarchical_allreduce_program (patterns.hpp) captures the same
+/// code rank by rank for the DES.
+template <typename T, typename Op, typename NodeComm, typename LeaderComm>
+void hierarchical_allreduce_inplace(NodeComm& node, LeaderComm& leaders,
+                                    std::span<T> acc, Op op,
+                                    coll_algorithm algo,
+                                    std::span<T> scratch) {
+  reduce_inplace(node, acc, op, 0, scratch);
+  if (node.rank() == 0) allreduce_inplace(leaders, acc, op, algo, scratch);
+  bcast(node, acc, 0);
+}
+
+}  // namespace detail
+
 class hierarchy {
  public:
   /// Collective over `comm` (two split() allgathers). All ranks must
@@ -51,10 +71,10 @@ class hierarchy {
   [[nodiscard]] const sub_communicator& node() const { return node_; }
   [[nodiscard]] const sub_communicator& leaders() const { return leaders_; }
 
-  /// Node reduce -> leader allreduce -> node bcast. `algo` selects the
+  /// Node reduce -> leader allreduce -> node bcast
+  /// (detail::hierarchical_allreduce_inplace). `algo` selects the
   /// leader-phase algorithm (automatic = same size threshold as the
-  /// flat allreduce). Mirrored op-for-op by
-  /// make_hierarchical_allreduce_program (patterns.hpp).
+  /// flat allreduce).
   template <typename T, typename Op>
   void allreduce(std::span<const T> in, std::span<T> out, Op op,
                  coll_algorithm algo = coll_algorithm::automatic) {
@@ -62,11 +82,8 @@ class hierarchy {
     const std::span<T> incoming = scratch<T>(in.size());
     detail::with_comm_context("hierarchical_allreduce", [&] {
       std::copy(in.begin(), in.end(), out.begin());
-      detail::reduce_inplace(node_, out, op, 0, incoming);
-      if (leader()) {
-        detail::allreduce_inplace(leaders_, out, op, algo, incoming);
-      }
-      tfx::mpisim::bcast(node_, out, 0);
+      detail::hierarchical_allreduce_inplace(node_, leaders_, out, op, algo,
+                                             incoming);
     });
   }
 

@@ -1,384 +1,213 @@
 #include "mpisim/patterns.hpp"
 
+#include <memory>
+#include <span>
+#include <type_traits>
+
 #include "core/contracts.hpp"
+#include "mpisim/hierarchical.hpp"
 
 namespace tfx::mpisim {
 
 namespace {
 
-int largest_pow2_below(int p) {
-  int v = 1;
-  while (v * 2 <= p) v *= 2;
-  return v;
+/// The communicator a capture runs a collective against. It offers the
+/// surface the templates in collectives.hpp use, but moves no data:
+/// each send or receive appends an op of the message's size, each
+/// advance() a compute op, and nothing blocks, so the ranks of a
+/// program are captured one after another. Peers are checked as
+/// communicator::send_bytes/recv_bytes check them (a receive must also
+/// name its source: a program has no wildcard) and recorded as the
+/// global rank `base + stride * peer`, so a rank's node and leader
+/// views (hierarchical.hpp) append to one op list. It has no clock, so
+/// the collectives open no trace span for it.
+class recorder {
+ public:
+  recorder(std::vector<sim_op>& ops, const tofud_params& net, int rank,
+           int size, int base = 0, int stride = 1)
+      : ops_(&ops), net_(&net), rank_(rank), size_(size), base_(base),
+        stride_(stride) {}
+
+  [[nodiscard]] int rank() const { return rank_; }
+  [[nodiscard]] int size() const { return size_; }
+  [[nodiscard]] const tofud_params& net() const { return *net_; }
+  void advance(double seconds) {
+    ops_->push_back(sim_op::compute_for(seconds));
+  }
+
+  void send_bytes(std::span<const std::byte> data, int dst, int tag) {
+    TFX_EXPECTS(dst >= 0 && dst < size_);
+    TFX_EXPECTS(tag >= 0);
+    ops_->push_back(sim_op::send_to(base_ + stride_ * dst, data.size()));
+  }
+  recv_status recv_bytes(std::span<std::byte> out, int src, int tag) {
+    TFX_EXPECTS(src >= 0 && src < size_);
+    ops_->push_back(sim_op::recv_from(base_ + stride_ * src, out.size()));
+    return recv_status{src, tag, out.size(), 0.0};
+  }
+  template <typename T>
+  void send(std::span<const T> data, int dst, int tag = 0) {
+    send_bytes(std::as_bytes(data), dst, tag);
+  }
+  template <typename T>
+  recv_status recv(std::span<T> out, int src, int tag = 0) {
+    return recv_bytes(std::as_writable_bytes(out), src, tag);
+  }
+
+ private:
+  std::vector<sim_op>* ops_;
+  const tofud_params* net_;
+  int rank_, size_, base_, stride_;
+};
+
+/// An element of N bytes that carries no value: assigning one does
+/// nothing, so the collectives' own copies compile away and a capture
+/// never touches its buffers.
+template <std::size_t N>
+struct blank {
+  std::byte bytes[N];
+  blank& operator=(const blank&) { return *this; }
+};
+
+/// The capture's reduction: keeps the accumulator, so combine() is a
+/// run of no-op self-assignments the compiler drops.
+struct keep {
+  template <typename T>
+  const T& operator()(const T& acc, const T&) const {
+    return acc;
+  }
+};
+
+/// `n` elements of storage, allocated but never initialised or read.
+template <typename T>
+struct buffer {
+  explicit buffer(std::size_t n)
+      : data(std::make_unique_for_overwrite<T[]>(n)), size(n) {}
+  [[nodiscard]] std::span<T> span() const { return {data.get(), size}; }
+  std::unique_ptr<T[]> data;
+  std::size_t size;
+};
+
+/// Runs `body(std::type_identity<T>{})` with T the blank element of
+/// `elem_bytes` bytes, so every message size and combine charge a
+/// collective computes from sizeof(T) is the program's own.
+template <typename Body>
+sim_program with_elem(std::size_t elem_bytes, Body&& body) {
+  TFX_EXPECTS(elem_bytes == 1 || elem_bytes == 2 || elem_bytes == 4 ||
+              elem_bytes == 8);
+  switch (elem_bytes) {
+    case 1: return body(std::type_identity<blank<1>>{});
+    case 2: return body(std::type_identity<blank<2>>{});
+    case 4: return body(std::type_identity<blank<4>>{});
+    default: return body(std::type_identity<blank<8>>{});
+  }
 }
 
-int log2_levels(int p) {  // number of k in {1,2,4,...} with k < p
-  int levels = 0;
-  for (int k = 1; k < p; k <<= 1) ++levels;
-  return levels;
+/// A p-rank program from `rank_body(ops, r)`, run for r = 0 ... p-1.
+/// Each rank records into one reused list, which is then copied into
+/// an exactly-sized op vector: one allocation per rank and no growth
+/// copies, whatever the ranks' lengths.
+template <typename RankBody>
+sim_program capture(int p, RankBody&& rank_body) {
+  sim_program prog(p);
+  std::vector<sim_op> ops;
+  for (int r = 0; r < p; ++r) {
+    ops.clear();
+    rank_body(ops, r);
+    prog.rank(r).assign(ops.begin(), ops.end());
+  }
+  return prog;
 }
 
-// Reserve every rank's op vector at a closed-form upper bound so
-// building a program is one allocation per rank instead of a
-// reallocation cascade - at 1024+ ranks the ring builder's growth
-// copies used to dominate DES host time (docs/TOPOLOGY.md).
-void reserve_ranks(sim_program& prog, std::size_t ops_per_rank) {
-  for (auto& ops : prog.ranks) ops.reserve(ops_per_rank);
-}
+/// For the collectives that charge no combine, which never read it.
+const tofud_params no_combine{};
 
 }  // namespace
 
 sim_program make_barrier_program(int p) {
-  sim_program prog(p);
-  if (p == 1) return prog;
-  reserve_ranks(prog, 2 * static_cast<std::size_t>(log2_levels(p)));
-  for (int r = 0; r < p; ++r) {
-    for (int k = 1; k < p; k <<= 1) {
-      const int dst = (r + k) % p;
-      const int src = (r - k % p + p) % p;
-      prog.rank(r).push_back(sim_op::send_to(dst, 1));
-      prog.rank(r).push_back(sim_op::recv_from(src, 1));
-    }
-  }
-  return prog;
+  return capture(p, [&](std::vector<sim_op>& ops, int r) {
+    recorder comm(ops, no_combine, r, p);
+    barrier(comm);
+  });
 }
 
 sim_program make_bcast_program(int p, std::size_t count,
                                std::size_t elem_bytes, int root) {
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  if (p == 1) return prog;
-  reserve_ranks(prog, static_cast<std::size_t>(log2_levels(p)) + 1);
-  for (int r = 0; r < p; ++r) {
-    const int vrank = (r - root + p) % p;
-    int mask = 1;
-    while (mask < p) {
-      if (vrank & mask) {
-        const int src = ((vrank - mask) + root) % p;
-        prog.rank(r).push_back(sim_op::recv_from(src, bytes));
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vrank + mask < p) {
-        const int dst = ((vrank + mask) + root) % p;
-        prog.rank(r).push_back(sim_op::send_to(dst, bytes));
-      }
-      mask >>= 1;
-    }
-  }
-  return prog;
+  return with_elem(elem_bytes, [&]<typename T>(std::type_identity<T>) {
+    const buffer<T> data(count);
+    return capture(p, [&](std::vector<sim_op>& ops, int r) {
+      recorder comm(ops, no_combine, r, p);
+      bcast(comm, data.span(), root);
+    });
+  });
 }
 
 sim_program make_reduce_program(const tofud_params& net, int p,
                                 std::size_t count, std::size_t elem_bytes,
                                 int root) {
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  const double combine_s = reduce_compute_seconds(net, bytes);
-  reserve_ranks(prog, 2 * static_cast<std::size_t>(log2_levels(p)));
-  for (int r = 0; r < p; ++r) {
-    const int vrank = (r - root + p) % p;
-    int mask = 1;
-    while (mask < p) {
-      if (vrank & mask) {
-        const int dst = ((vrank - mask) + root) % p;
-        prog.rank(r).push_back(sim_op::send_to(dst, bytes));
-        break;
-      }
-      if (vrank + mask < p) {
-        const int src = ((vrank + mask) + root) % p;
-        prog.rank(r).push_back(sim_op::recv_from(src, bytes));
-        prog.rank(r).push_back(sim_op::compute_for(combine_s));
-      }
-      mask <<= 1;
-    }
-  }
-  return prog;
+  return with_elem(elem_bytes, [&]<typename T>(std::type_identity<T>) {
+    const buffer<T> acc(count), scratch(count);
+    return capture(p, [&](std::vector<sim_op>& ops, int r) {
+      recorder comm(ops, net, r, p);
+      detail::reduce_inplace(comm, acc.span(), keep{}, root, scratch.span());
+    });
+  });
 }
 
 sim_program make_allreduce_program(const tofud_params& net, int p,
                                    std::size_t count, std::size_t elem_bytes,
                                    coll_algorithm algo) {
-  if (algo == coll_algorithm::automatic) {
-    algo = count * elem_bytes <= allreduce_ring_threshold
-               ? coll_algorithm::recursive_doubling
-               : coll_algorithm::rabenseifner;
-  }
-  TFX_EXPECTS(algo == coll_algorithm::recursive_doubling ||
-              algo == coll_algorithm::ring ||
-              algo == coll_algorithm::rabenseifner);
-
-  sim_program prog(p);
-  if (p == 1) return prog;
-  const std::size_t bytes = count * elem_bytes;
-  const double combine_s = reduce_compute_seconds(net, bytes);
-
-  if (algo == coll_algorithm::recursive_doubling) {
-    const int pof2 = largest_pow2_below(p);
-    const int rem = p - pof2;
-    auto real_rank = [rem](int nr) { return nr < rem ? nr * 2 : nr + rem; };
-    reserve_ranks(prog, 3 * static_cast<std::size_t>(log2_levels(pof2)) + 3);
-    for (int r = 0; r < p; ++r) {
-      auto& ops = prog.rank(r);
-      int newrank;
-      if (r < 2 * rem) {
-        if (r % 2 != 0) {
-          ops.push_back(sim_op::send_to(r - 1, bytes));
-          newrank = -1;
-        } else {
-          ops.push_back(sim_op::recv_from(r + 1, bytes));
-          ops.push_back(sim_op::compute_for(combine_s));
-          newrank = r / 2;
-        }
-      } else {
-        newrank = r - rem;
-      }
-      if (newrank != -1) {
-        for (int mask = 1; mask < pof2; mask <<= 1) {
-          const int partner = real_rank(newrank ^ mask);
-          ops.push_back(sim_op::send_to(partner, bytes));
-          ops.push_back(sim_op::recv_from(partner, bytes));
-          ops.push_back(sim_op::compute_for(combine_s));
-        }
-      }
-      if (r < 2 * rem) {
-        if (r % 2 == 0) {
-          ops.push_back(sim_op::send_to(r + 1, bytes));
-        } else {
-          ops.push_back(sim_op::recv_from(r - 1, bytes));
-        }
-      }
-    }
-    return prog;
-  }
-
-  if (algo == coll_algorithm::rabenseifner) {
-    // Mirrors detail::allreduce_rabenseifner operation for operation.
-    const int pof2 = largest_pow2_below(p);
-    const int rem = p - pof2;
-    auto real_rank = [rem](int nr) { return nr < rem ? nr * 2 : nr + rem; };
-    auto bound = [count, pof2](int b) {
-      return count * static_cast<std::size_t>(b) /
-             static_cast<std::size_t>(pof2);
-    };
-    reserve_ranks(prog, 5 * static_cast<std::size_t>(log2_levels(pof2)) + 3);
-    for (int r = 0; r < p; ++r) {
-      auto& ops = prog.rank(r);
-      int newrank;
-      if (r < 2 * rem) {
-        if (r % 2 != 0) {
-          ops.push_back(sim_op::send_to(r - 1, bytes));
-          newrank = -1;
-        } else {
-          ops.push_back(sim_op::recv_from(r + 1, bytes));
-          ops.push_back(sim_op::compute_for(combine_s));
-          newrank = r / 2;
-        }
-      } else {
-        newrank = r - rem;
-      }
-      int lo = 0, hi = pof2;
-      if (newrank != -1) {
-        for (int mask = pof2 >> 1; mask > 0; mask >>= 1) {
-          const int partner = real_rank(newrank ^ mask);
-          const int mid = (lo + hi) / 2;
-          const std::size_t lo_b = bound(lo), mid_b = bound(mid),
-                            hi_b = bound(hi);
-          if (newrank < (newrank ^ mask)) {
-            ops.push_back(sim_op::send_to(partner,
-                                          (hi_b - mid_b) * elem_bytes));
-            ops.push_back(sim_op::recv_from(partner,
-                                            (mid_b - lo_b) * elem_bytes));
-            ops.push_back(sim_op::compute_for(reduce_compute_seconds(
-                net, (mid_b - lo_b) * elem_bytes)));
-            hi = mid;
-          } else {
-            ops.push_back(sim_op::send_to(partner,
-                                          (mid_b - lo_b) * elem_bytes));
-            ops.push_back(sim_op::recv_from(partner,
-                                            (hi_b - mid_b) * elem_bytes));
-            ops.push_back(sim_op::compute_for(reduce_compute_seconds(
-                net, (hi_b - mid_b) * elem_bytes)));
-            lo = mid;
-          }
-        }
-        for (int mask = 1; mask < pof2; mask <<= 1) {
-          const int partner = real_rank(newrank ^ mask);
-          const int span_blocks = hi - lo;
-          const std::size_t lo_b = bound(lo), hi_b = bound(hi);
-          ops.push_back(sim_op::send_to(partner, (hi_b - lo_b) * elem_bytes));
-          if (newrank < (newrank ^ mask)) {
-            const std::size_t sib_b = bound(hi + span_blocks);
-            ops.push_back(sim_op::recv_from(partner,
-                                            (sib_b - hi_b) * elem_bytes));
-            hi += span_blocks;
-          } else {
-            const std::size_t sib_b = bound(lo - span_blocks);
-            ops.push_back(sim_op::recv_from(partner,
-                                            (lo_b - sib_b) * elem_bytes));
-            lo -= span_blocks;
-          }
-        }
-      }
-      if (r < 2 * rem) {
-        if (r % 2 == 0) {
-          ops.push_back(sim_op::send_to(r + 1, bytes));
-        } else {
-          ops.push_back(sim_op::recv_from(r - 1, bytes));
-        }
-      }
-    }
-    return prog;
-  }
-
-  // Ring: reduce-scatter then allgather with the same segment sizes as
-  // the template (n*(k)/p boundaries over *elements*, then scaled).
-  auto seg_elems = [&](int s) {
-    const int seg = ((s % p) + p) % p;
-    const std::size_t b =
-        count * static_cast<std::size_t>(seg) / static_cast<std::size_t>(p);
-    const std::size_t e = count * (static_cast<std::size_t>(seg) + 1) /
-                          static_cast<std::size_t>(p);
-    return e - b;
-  };
-  reserve_ranks(prog, 5 * static_cast<std::size_t>(p - 1));
-  for (int r = 0; r < p; ++r) {
-    auto& ops = prog.rank(r);
-    const int right = (r + 1) % p;
-    const int left = (r - 1 + p) % p;
-    for (int step = 0; step < p - 1; ++step) {
-      const std::size_t out_b = seg_elems(r - step) * elem_bytes;
-      const std::size_t in_b = seg_elems(r - step - 1) * elem_bytes;
-      ops.push_back(sim_op::send_to(right, out_b));
-      ops.push_back(sim_op::recv_from(left, in_b));
-      ops.push_back(sim_op::compute_for(
-          reduce_compute_seconds(net, in_b)));
-    }
-    for (int step = 0; step < p - 1; ++step) {
-      const std::size_t out_b = seg_elems(r + 1 - step) * elem_bytes;
-      const std::size_t in_b = seg_elems(r - step) * elem_bytes;
-      ops.push_back(sim_op::send_to(right, out_b));
-      ops.push_back(sim_op::recv_from(left, in_b));
-    }
-  }
-  return prog;
+  return with_elem(elem_bytes, [&]<typename T>(std::type_identity<T>) {
+    const buffer<T> acc(count), scratch(count);
+    return capture(p, [&](std::vector<sim_op>& ops, int r) {
+      recorder comm(ops, net, r, p);
+      detail::allreduce_inplace(comm, acc.span(), keep{}, algo,
+                                scratch.span());
+    });
+  });
 }
 
 sim_program make_hierarchical_allreduce_program(
     const tofud_params& net, const torus_placement& place,
     std::size_t count, std::size_t elem_bytes, coll_algorithm algo) {
-  const int p = place.rank_count();
   const int m = place.ranks_per_node();
-  const int nodes = place.node_count();
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  const double combine_s = reduce_compute_seconds(net, bytes);
-
-  // The leaders' flat allreduce, built once over `nodes` virtual ranks
-  // and spliced into each leader's program with peers remapped to
-  // global ranks (leader of node k == global rank k*m under the block
-  // placement - the same ranks hierarchy{} elects).
-  sim_program leader_prog =
-      nodes > 1 ? make_allreduce_program(net, nodes, count, elem_bytes, algo)
-                : sim_program(1);
-
-  const auto levels = static_cast<std::size_t>(log2_levels(m));
-  for (int node = 0; node < nodes; ++node) {
-    const int leader = node * m;
-    auto& lops = prog.rank(leader);
-    lops.reserve(2 * levels +
-                 leader_prog.ranks[static_cast<std::size_t>(
-                     nodes > 1 ? node : 0)].size() +
-                 static_cast<std::size_t>(m > 1 ? 1 : 0));
-    for (int j = 1; j < m; ++j) {
-      prog.rank(leader + j).reserve(2 * levels + 2);
-    }
-
-    // Phase 1: intra-node binomial reduce to local rank 0
-    // (detail::reduce_inplace with root 0; vrank == local rank).
-    for (int j = 0; j < m; ++j) {
-      auto& ops = prog.rank(leader + j);
-      int mask = 1;
-      while (mask < m) {
-        if (j & mask) {
-          ops.push_back(sim_op::send_to(leader + (j - mask), bytes));
-          break;
-        }
-        if (j + mask < m) {
-          ops.push_back(sim_op::recv_from(leader + (j + mask), bytes));
-          ops.push_back(sim_op::compute_for(combine_s));
-        }
-        mask <<= 1;
-      }
-    }
-
-    // Phase 2: the leaders' flat allreduce, remapped to global ranks.
-    if (nodes > 1) {
-      for (const sim_op& op : leader_prog.ranks[static_cast<std::size_t>(node)]) {
-        sim_op mapped = op;
-        if (op.what != sim_op::kind::compute) mapped.peer = op.peer * m;
-        lops.push_back(mapped);
-      }
-    }
-
-    // Phase 3: intra-node binomial bcast from local rank 0.
-    for (int j = 0; j < m; ++j) {
-      auto& ops = prog.rank(leader + j);
-      int mask = 1;
-      while (mask < m) {
-        if (j & mask) {
-          ops.push_back(sim_op::recv_from(leader + (j - mask), bytes));
-          break;
-        }
-        mask <<= 1;
-      }
-      mask >>= 1;
-      while (mask > 0) {
-        if (j + mask < m) {
-          ops.push_back(sim_op::send_to(leader + (j + mask), bytes));
-        }
-        mask >>= 1;
-      }
-    }
-  }
-  return prog;
-}
-
-sim_program make_allgather_program(int p, std::size_t count,
-                                   std::size_t elem_bytes) {
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  if (p == 1) return prog;
-  reserve_ranks(prog, 2 * static_cast<std::size_t>(p - 1));
-  for (int r = 0; r < p; ++r) {
-    const int right = (r + 1) % p;
-    const int left = (r - 1 + p) % p;
-    for (int step = 0; step < p - 1; ++step) {
-      prog.rank(r).push_back(sim_op::send_to(right, bytes));
-      prog.rank(r).push_back(sim_op::recv_from(left, bytes));
-    }
-  }
-  return prog;
+  return with_elem(elem_bytes, [&]<typename T>(std::type_identity<T>) {
+    const buffer<T> acc(count), scratch(count);
+    return capture(place.rank_count(), [&](std::vector<sim_op>& ops, int r) {
+      // The views hierarchy{} splits off under the block placement:
+      // node k holds global ranks k*m ... k*m+m-1, and its leader k*m
+      // is rank k among the leaders.
+      const int node = place.node_of(r);
+      recorder node_comm(ops, net, r - node * m, m, node * m);
+      recorder leaders(ops, net, node, place.node_count(), 0, m);
+      detail::hierarchical_allreduce_inplace(node_comm, leaders, acc.span(),
+                                             keep{}, algo, scratch.span());
+    });
+  });
 }
 
 sim_program make_gatherv_program(int p, std::size_t count,
                                  std::size_t elem_bytes, int root) {
-  sim_program prog(p);
-  const std::size_t bytes = count * elem_bytes;
-  prog.rank(root).reserve(static_cast<std::size_t>(p - 1));
-  for (int r = 0; r < p; ++r) {
-    if (r != root) {
-      prog.rank(r).push_back(sim_op::send_to(root, bytes));
-    }
-  }
-  for (int src = 0; src < p; ++src) {
-    if (src == root) continue;
-    prog.rank(root).push_back(sim_op::recv_from(src, bytes));
-  }
-  return prog;
+  return with_elem(elem_bytes, [&]<typename T>(std::type_identity<T>) {
+    const std::vector<std::size_t> counts(static_cast<std::size_t>(p), count);
+    const buffer<T> in(count), out(count * counts.size());
+    return capture(p, [&](std::vector<sim_op>& ops, int r) {
+      recorder comm(ops, no_combine, r, p);
+      gatherv(comm, std::span<const T>(in.span()),
+              std::span<const std::size_t>(counts), out.span(), root);
+    });
+  });
+}
+
+sim_program make_allgather_program(int p, std::size_t count,
+                                   std::size_t elem_bytes) {
+  return with_elem(elem_bytes, [&]<typename T>(std::type_identity<T>) {
+    const buffer<T> in(count), out(count * static_cast<std::size_t>(p));
+    return capture(p, [&](std::vector<sim_op>& ops, int r) {
+      recorder comm(ops, no_combine, r, p);
+      allgather(comm, std::span<const T>(in.span()), out.span());
+    });
+  });
 }
 
 }  // namespace tfx::mpisim

@@ -1,16 +1,22 @@
 #pragma once
 
 /// \file patterns.hpp
-/// Collective algorithms restated as per-rank event programs.
+/// Collectives captured as per-rank event programs.
 ///
 /// Running 1536 real threads (the paper's Fig. 3 configuration) is not
 /// feasible, so the large-scale benchmarks time the collectives with a
-/// discrete-event walk (des.hpp) over these programs. Each generator
-/// mirrors, operation for operation, the corresponding template in
-/// collectives.hpp; tests/mpisim_des_test pins the two against each
-/// other by comparing virtual completion times at thread-runnable rank
-/// counts. If you change an algorithm, change it in both places or the
-/// test will fail.
+/// discrete-event walk (des.hpp) over these programs. Each builder runs
+/// the collective's own template from collectives.hpp or
+/// hierarchical.hpp once per rank, against a recording communicator
+/// that appends a send, receive or compute op where the runtime would
+/// move a message or charge a combine, and never blocks. So a program
+/// is, by construction, the schedule the threaded runtime executes;
+/// tests/mpisim_des_test checks the two engines' virtual clocks agree
+/// and pins every builder's op lists with golden hashes.
+///
+/// Capture moves no payload: elements are `elem_bytes`-sized blanks
+/// whose copies and combines compile to nothing, and buffers are
+/// allocated but never touched. `elem_bytes` must be 1, 2, 4 or 8.
 
 #include <cstddef>
 #include <vector>
@@ -50,40 +56,39 @@ struct sim_program {
   }
 };
 
-/// Dissemination barrier (mirrors mpisim::barrier; 1-byte tokens).
+/// Dissemination barrier (mpisim::barrier; 1-byte tokens).
 sim_program make_barrier_program(int p);
 
-/// Binomial bcast of count*elem_bytes from root (mirrors mpisim::bcast).
+/// Binomial bcast of count*elem_bytes from root (mpisim::bcast).
 sim_program make_bcast_program(int p, std::size_t count,
                                std::size_t elem_bytes, int root);
 
-/// Binomial reduce to root (mirrors mpisim::reduce).
+/// Binomial reduce to root (detail::reduce_inplace, the core of
+/// mpisim::reduce).
 sim_program make_reduce_program(const tofud_params& net, int p,
                                 std::size_t count, std::size_t elem_bytes,
                                 int root);
 
-/// Allreduce; algo must be recursive_doubling or ring (automatic is
-/// resolved with the same threshold as the template).
+/// Allreduce with `algo` (detail::allreduce_inplace, the dispatch
+/// behind mpisim::allreduce; automatic picks by message size).
 sim_program make_allreduce_program(const tofud_params& net, int p,
                                    std::size_t count, std::size_t elem_bytes,
                                    coll_algorithm algo);
 
-/// Hierarchical (node-leader) allreduce: binomial reduce to each
-/// node's local rank 0, flat allreduce among the leaders, binomial
-/// bcast back - mirrors hierarchy::allreduce (hierarchical.hpp)
-/// op-for-op under the block rank placement. `algo` selects the
-/// leader-phase algorithm; automatic resolves with the flat threshold.
+/// Hierarchical (node-leader) allreduce under the block rank placement
+/// (detail::hierarchical_allreduce_inplace, the body of
+/// hierarchy::allreduce): binomial reduce to each node's local rank 0,
+/// flat allreduce with `algo` among the leaders, binomial bcast back.
 sim_program make_hierarchical_allreduce_program(
     const tofud_params& net, const torus_placement& place,
     std::size_t count, std::size_t elem_bytes,
     coll_algorithm algo = coll_algorithm::automatic);
 
-/// Linear gatherv with uniform counts (mirrors mpisim::gatherv).
+/// Linear gatherv with uniform counts (mpisim::gatherv).
 sim_program make_gatherv_program(int p, std::size_t count,
                                  std::size_t elem_bytes, int root);
 
-/// Ring allgather of count*elem_bytes per rank (mirrors
-/// mpisim::allgather).
+/// Ring allgather of count*elem_bytes per rank (mpisim::allgather).
 sim_program make_allgather_program(int p, std::size_t count,
                                    std::size_t elem_bytes);
 

@@ -207,11 +207,13 @@ struct rhs_compute_split {
 };
 rhs_compute_split split_rhs_compute(double seconds_per_eval, int local_ny);
 
-/// The distributed model's halo traffic restated as a DES event
-/// program, operation for operation (mpisim/patterns.hpp discipline):
-/// per RK4 stage, a 3-field prognostic phase then a 4-field derived
-/// phase, with the modeled compute charges placed exactly where
-/// distributed_model places its advance() calls. tests/swm_halo_test
+/// The distributed model's halo traffic restated by hand as a DES
+/// event program, operation for operation. Unlike the collectives
+/// (mpisim/patterns.hpp), the engine cannot be captured: it posts
+/// requests on the concrete communicator and charges compute from
+/// model state. Per RK4 stage, a 3-field prognostic phase then a
+/// 4-field derived phase, with the modeled compute charges placed
+/// exactly where distributed_model places its advance() calls. tests/swm_halo_test
 /// pins the threaded model's virtual clocks against simulate() of this
 /// program. Requires a uniform decomposition (every rank `local_ny`
 /// rows).

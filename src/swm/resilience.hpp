@@ -109,11 +109,13 @@ struct recovery_report {
   std::uint64_t recovery_entry_mark = 0;
 };
 
-/// The checkpoint commit restated as a DES event program (buddy-ring
-/// exchange of `message_bytes` + the 1-byte commit-vote allreduce),
-/// mirroring resilient_session::checkpoint_commit operation for
-/// operation; tests/swm_recovery_test pins the virtual clocks of the
-/// two against each other, the same discipline as mpisim/patterns.hpp.
+/// The checkpoint commit as a DES event program: the buddy-ring
+/// exchange of `message_bytes`, then the 1-byte commit-vote allreduce.
+/// The vote is captured from the allreduce's own code
+/// (make_allreduce_program); the two-op ring is written by hand after
+/// resilient_session::checkpoint_commit, which sends model state
+/// through the concrete communicator. tests/swm_recovery_test pins the
+/// virtual clocks of the two against each other.
 mpisim::sim_program make_checkpoint_program(const mpisim::tofud_params& net,
                                             int p,
                                             std::size_t message_bytes);

@@ -375,6 +375,27 @@ TEST(ProgramGolden, Allgather) {
                 0x0061801e57a50fc6ull);
 }
 
+// Every rooted collective checks its root, so every program captured
+// from one inherits the check instead of indexing past the last rank.
+TEST(ProgramCaptureDeathTest, RootOutsideTheCommunicatorAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const tofud_params net;
+  const char* const msg = "precondition failed: root >= 0 && root < p";
+  EXPECT_DEATH(make_gatherv_program(4, 1, 8, 4), msg);
+  EXPECT_DEATH(make_gatherv_program(4, 1, 8, -1), msg);
+  EXPECT_DEATH(make_reduce_program(net, 4, 1, 8, 4), msg);
+  EXPECT_DEATH(make_bcast_program(4, 1, 8, -1), msg);
+  EXPECT_DEATH(
+      {
+        world w(2);
+        w.run([](communicator& c) {
+          std::vector<double> in(2), out(1);
+          scatter(c, std::span<const double>(in), std::span<double>(out), 2);
+        });
+      },
+      msg);
+}
+
 // Building a program leaves no trace: tracing a run that builds DES
 // programs must not log a collective span per simulated rank.
 TEST(ProgramCapture, EmitsNoTraceEvents) {

@@ -10,8 +10,9 @@
 //     sub-communicator splits happen once at construction, the scratch
 //     arena grows to the largest payload and stops - unlike the
 //     one-shot hierarchical_allreduce, which re-splits per call;
-//   * the DES program generator (make_hierarchical_allreduce_program)
-//     reproduces the threaded runtime's virtual clocks exactly;
+//   * the DES program captured from the same code
+//     (make_hierarchical_allreduce_program) reproduces the threaded
+//     runtime's virtual clocks exactly;
 //   * chaos schedules leave results and virtual clocks bit-equal to
 //     the same schedule run over shm, and crash schedules fail with
 //     the same typed errors.
