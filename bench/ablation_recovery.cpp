@@ -2,12 +2,15 @@
 //
 // A 4-rank distributed shallow-water run (swm/distributed.hpp) executes
 // under the resilience session (swm/resilience.hpp) while the fault
-// plane kills ranks at seeded send indices. The sweep crosses the
-// buddy-checkpoint interval K with the number of injected crashes and
-// reports the virtual-clock inflation against the unprotected step
-// loop, plus the replay/commit/round counters. Every recovered run is
-// checked bit-identical to the fault-free oracle before its row is
-// printed - a row in the table doubles as a correctness witness.
+// plane kills ranks. The sweep crosses the buddy-checkpoint interval K
+// with the number of injected crashes and reports the virtual-clock
+// inflation against the unprotected step loop, plus the
+// replay/commit/round counters. Crashes are aimed by commit window
+// (mid_window_send over a silent probe run's commit marks): rank 1
+// halfway through the first window, rank 0 halfway through the last.
+// Every recovered run is checked bit-identical to the fault-free
+// oracle, and every scheduled crash must have fired, before its row
+// is printed - a row in the table doubles as a correctness witness.
 //
 // Checkpoint commits and recovery transfers ride the same LogGP-costed
 // channels as the halo exchange, so the overhead column is the real
@@ -42,7 +45,8 @@ constexpr int kRanks = 4;
 
 struct row {
   int interval = 0;       ///< checkpoint interval K (steps)
-  int crashes = 0;        ///< injected rank crashes
+  int crashes = 0;        ///< scheduled rank crashes
+  std::vector<int> fired;  ///< ranks whose crash fired, in order of death
   double clock_s = 0;     ///< max final virtual clock
   double overhead = 0;    ///< clock / unprotected baseline clock
   int replayed = 0;       ///< max steps re-executed on any rank
@@ -66,6 +70,7 @@ state<double> initial_state(const swm_params& p) {
 
 struct run_out {
   std::vector<std::vector<double>> packed;  ///< per-rank pack_state()
+  std::vector<recovery_report> reports;     ///< per rank (resilient runs)
   double clock_s = 0;
   int replayed = 0;
   std::uint64_t commits = 0;
@@ -92,38 +97,65 @@ run_out plain_run(const swm_params& params, int steps) {
   return out;
 }
 
-/// Resilient run with `crashes` ranks killed at seeded send indices.
-/// Zero crashes still activates the fault plane (a sentinel event no
-/// rank ever reaches) so the row isolates pure checkpoint overhead.
+/// Resilient run under `crashes`. The fault plane is always active (a
+/// sentinel event no rank ever reaches), so a run without crashes
+/// isolates pure checkpoint overhead - and is the silent probe whose
+/// commit marks aim the crashes of the other runs.
 run_out resilient_run(const swm_params& params, int steps, int interval,
-                      int crashes, std::uint64_t seed) {
+                      const std::vector<mpisim::crash_event>& crashes,
+                      std::uint64_t seed) {
   const auto init = initial_state(params);
   mpisim::fault_config cfg;
   cfg.seed = seed;
   cfg.crashes = {{0, std::uint64_t{1} << 40}};  // plane-activating sentinel
-  if (crashes >= 1) cfg.crashes.push_back({1, 80});
-  if (crashes >= 2) cfg.crashes.push_back({0, 400});
+  cfg.crashes.insert(cfg.crashes.end(), crashes.begin(), crashes.end());
 
   resilience_options opt;
   opt.checkpoint_interval = interval;
 
   run_out out;
   out.packed.resize(kRanks);
+  out.reports.resize(kRanks);
   mpisim::world w(kRanks);
   w.set_faults(cfg);
   w.run([&](mpisim::communicator& comm) {
     distributed_model<double> dm(comm, params);
     dm.set_from_global(init);
-    const recovery_report rep = run_resilient(comm, dm, steps, opt);
-    auto& mine = out.packed[static_cast<std::size_t>(comm.rank())];
-    mine.resize(dm.packed_size());
-    dm.pack_state(std::span<double>(mine));
-    if (comm.rank() == 0) out.commits = rep.commits;
+    const auto r = static_cast<std::size_t>(comm.rank());
+    out.reports[r] = run_resilient(comm, dm, steps, opt);
+    out.packed[r].resize(dm.packed_size());
+    dm.pack_state(std::span<double>(out.packed[r]));
+  });
+  for (const recovery_report& rep : out.reports) {
     out.replayed = std::max(out.replayed, rep.replayed_steps);
     out.rounds = std::max(out.rounds, rep.rounds);
-  });
+  }
+  out.commits = out.reports[0].commits;
   const auto& clocks = w.final_clocks();
   out.clock_s = *std::max_element(clocks.begin(), clocks.end());
+  return out;
+}
+
+/// The first `crashes` of: rank 1 halfway through the probe's first
+/// commit window, rank 0 halfway through its last full one.
+std::vector<mpisim::crash_event> crash_schedule(const run_out& probe,
+                                                int crashes) {
+  const std::size_t windows = probe.reports[0].commit_marks.size() - 1;
+  std::vector<mpisim::crash_event> out;
+  if (crashes >= 1) out.push_back({1, mid_window_send(probe.reports[1], 0)});
+  if (crashes >= 2) {
+    out.push_back({0, mid_window_send(probe.reports[0], windows - 1)});
+  }
+  return out;
+}
+
+/// The ranks that died, in order, separated by `sep`.
+std::string joined(const std::vector<int>& ranks, const char* sep) {
+  std::string out;
+  for (const int r : ranks) {
+    if (!out.empty()) out += sep;
+    out += std::to_string(r);
+  }
   return out;
 }
 
@@ -154,11 +186,11 @@ void write_json(const std::string& path, std::uint64_t seed, int steps,
     const auto& r = rows[i];
     std::fprintf(
         f,
-        "    {\"interval\": %d, \"crashes\": %d, \"clock_s\": %.6e, "
-        "\"overhead\": %.4f, \"replayed_steps\": %d, \"commits\": %llu, "
-        "\"rounds\": %d, \"bit_identical\": %s}%s\n",
-        r.interval, r.crashes, r.clock_s, r.overhead, r.replayed,
-        static_cast<unsigned long long>(r.commits), r.rounds,
+        "    {\"interval\": %d, \"crashes\": %d, \"fired\": [%s], "
+        "\"clock_s\": %.6e, \"overhead\": %.4f, \"replayed_steps\": %d, "
+        "\"commits\": %llu, \"rounds\": %d, \"bit_identical\": %s}%s\n",
+        r.interval, r.crashes, joined(r.fired, ", ").c_str(), r.clock_s, r.overhead,
+        r.replayed, static_cast<unsigned long long>(r.commits), r.rounds,
         r.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -182,9 +214,10 @@ int main(int argc, char** argv) {
   const std::string json = args.get_string("json", "BENCH_recovery.json");
 
   std::puts("Ablation: buddy-checkpoint and rollback-recovery overhead.");
-  std::puts("4-rank shallow-water run in virtual time; crashes injected at");
-  std::puts("seeded send indices; every row is verified bit-identical to");
-  std::puts("the fault-free oracle before it is printed.");
+  std::puts("4-rank shallow-water run in virtual time; crashes aimed by");
+  std::puts("commit window; every row is verified bit-identical to the");
+  std::puts("fault-free oracle, with every scheduled crash fired, before");
+  std::puts("it is printed.");
 
   const swm_params params = bench_params();
   const run_out oracle = plain_run(params, steps);
@@ -193,15 +226,24 @@ int main(int argc, char** argv) {
   const int crash_counts[] = {0, 1, 2};
 
   std::vector<row> rows;
-  table t({"K", "crashes", "clock", "overhead", "replayed", "commits",
-           "rounds", "bit-identical"});
+  table t({"K", "crashes", "fired", "clock", "overhead", "replayed",
+           "commits", "rounds", "bit-identical"});
   for (const int interval : intervals) {
+    if (steps < 2 * interval) {
+      std::fprintf(stderr, "--steps %d leaves K=%d fewer than two commit "
+                   "windows to aim crashes at\n", steps, interval);
+      return 1;
+    }
+    const run_out probe = resilient_run(params, steps, interval, {}, seed);
     for (const int crashes : crash_counts) {
       const run_out got =
-          resilient_run(params, steps, interval, crashes, seed);
+          crashes == 0 ? probe
+                       : resilient_run(params, steps, interval,
+                                       crash_schedule(probe, crashes), seed);
       row r;
       r.interval = interval;
       r.crashes = crashes;
+      r.fired = got.reports[0].casualties;
       r.clock_s = got.clock_s;
       r.overhead = got.clock_s / oracle.clock_s;
       r.replayed = got.replayed;
@@ -209,14 +251,18 @@ int main(int argc, char** argv) {
       r.rounds = got.rounds;
       r.identical = bit_identical(got, oracle);
       t.add_row({std::to_string(r.interval), std::to_string(r.crashes),
-                 format_seconds(r.clock_s), format_fixed(r.overhead, 3),
+                 r.fired.empty() ? "-" : joined(r.fired, ","),
+                 format_seconds(r.clock_s),
+                 format_fixed(r.overhead, 3),
                  std::to_string(r.replayed), std::to_string(r.commits),
                  std::to_string(r.rounds), r.identical ? "yes" : "NO"});
       rows.push_back(r);
-      if (!r.identical) {
-        std::fprintf(stderr,
-                     "FATAL: K=%d crashes=%d diverged from the oracle\n",
-                     r.interval, r.crashes);
+      if (!r.identical ||
+          r.fired.size() != static_cast<std::size_t>(r.crashes)) {
+        std::fprintf(stderr, "FATAL: K=%d crashes=%d %s\n", r.interval,
+                     r.crashes,
+                     r.identical ? "did not all fire"
+                                 : "diverged from the oracle");
         t.print(std::cout);
         return 1;
       }

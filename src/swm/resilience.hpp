@@ -109,6 +109,18 @@ struct recovery_report {
   std::uint64_t recovery_entry_mark = 0;
 };
 
+/// The send index halfway through commit window `window` (the steps
+/// between commits `window` and `window + 1`) of a silent probe run's
+/// report. A crash scheduled there lands in the same window under any
+/// message schedule; a raw send index drifts whenever a step's message
+/// count changes.
+[[nodiscard]] inline std::uint64_t mid_window_send(
+    const recovery_report& probe, std::size_t window) {
+  TFX_EXPECTS(window + 1 < probe.commit_marks.size());
+  const std::uint64_t begin = probe.commit_marks[window];
+  return begin + (probe.commit_marks[window + 1] - begin) / 2;
+}
+
 /// The checkpoint commit as a DES event program: the buddy-ring
 /// exchange of `message_bytes`, then the 1-byte commit-vote allreduce.
 /// The vote is captured from the allreduce's own code

@@ -372,13 +372,13 @@ const transport_golden transport_goldens[] = {
      0xd852dcb87b6f12a3ull, 0, {}, 0, 0},
     {2, 0x692d63526843e94aull, 0x6482431d2be1734bull, 0xc8bf7f237323477cull,
      0xaf6881288b4a93bfull, 0x8077d7e0664aa765ull, {0, 1},
-     0x3c94f17141acab79ull, 0x516f1f69c587c429ull},
+     0x3c94f17141acab79ull, 0x6a82963a946ba62full},
     {4, 0xdf1f7127e2aa58d5ull, 0x9d0a53cb4172f43bull, 0x656216d406bf872cull,
      0xa1d6d85f291c57ebull, 0x44f43a245dc37741ull, {0, 1, 2, 3},
-     0x25f63bd054df4d81ull, 0x13284dba779f9164ull},
+     0x25f63bd054df4d81ull, 0x7f4d2986d1496ac5ull},
     {8, 0x45308975c0af3250ull, 0x2b1559f4a827a4e3ull, 0xb9375faa1f151484ull,
      0x1923d2e8ddf41983ull, 0x8fe13444f1ddec93ull, {1, 2, 3, 4},
-     0x4b9461bcd9b08369ull, 0x5655d2c6ce02c4e0ull},
+     0x4b9461bcd9b08369ull, 0x18bd6624901c8be9ull},
 };
 
 class TransportConformance
@@ -486,11 +486,20 @@ TEST_P(TransportConformance, CrashRecoveryBitIdenticalToOracle) {
   if (ranks_ < 2) GTEST_SKIP() << "recovery needs a buddy";
 
   const int steps = 12;
-  fault_config cfg;
-  cfg.seed = 40;
-  cfg.crashes.push_back({1, 120});  // one mid-run death
   swm::resilience_options opt;
   opt.checkpoint_interval = 4;
+
+  // One mid-run death, aimed halfway between rank 1's step-4 and
+  // step-8 commits in a silent run over the same transport.
+  fault_config silent;
+  silent.crashes.push_back({0, std::uint64_t{1} << 40});
+  world probe(ranks_, {}, topt_for(kind_));
+  probe.set_faults(silent);
+  const auto marks = recovery_run(probe, steps, opt);
+
+  fault_config cfg;
+  cfg.seed = 40;
+  cfg.crashes.push_back({1, swm::mid_window_send(marks[1].report, 1)});
 
   world w(ranks_, {}, topt_for(kind_));
   w.set_faults(cfg);
@@ -499,7 +508,7 @@ TEST_P(TransportConformance, CrashRecoveryBitIdenticalToOracle) {
   expect_golden(state_hash(got), golden().recovery_state, "recovery state");
   expect_golden(schedule_hash(got, w), golden().recovery_schedule,
                 "recovery schedule");
-  EXPECT_GT(got[0].report.rounds, 0);  // the crash actually happened
+  EXPECT_EQ(got[0].report.rounds, 1);  // the crash actually happened
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -437,35 +437,50 @@ TEST(ChromeSchema, ChaosRecoveryRunValidates) {
   seedm.seed_random_eddies(7, 0.5);
   const swm::state<double> init = seedm.prognostic();
 
+  swm::resilience_options opt;
+  opt.checkpoint_interval = 4;
+  // A silent run (fault plane on, no crash) aims rank 1's crash
+  // halfway between its step-4 and step-8 commits.
+  std::vector<swm::recovery_report> reports(static_cast<std::size_t>(p));
+  auto resilient_run = [&](world& w) {
+    w.run([&](communicator& comm) {
+      swm::distributed_model<double> dm(comm, params);
+      dm.set_from_global(init);
+      reports[static_cast<std::size_t>(comm.rank())] =
+          swm::run_resilient(comm, dm, 12, opt);
+    });
+  };
+  {
+    world probe(p);
+    mpisim::fault_config silent;
+    silent.crashes.push_back({0, std::uint64_t{1} << 40});
+    probe.set_faults(silent);
+    resilient_run(probe);
+  }
+
   mpisim::fault_config cfg;
   cfg.seed = 43;
-  cfg.crashes.push_back({1, 120});
+  cfg.crashes.push_back({1, swm::mid_window_send(reports[1], 1)});
   cfg.probs.drop = 0.02;
   cfg.probs.corrupt = 0.02;
   cfg.retry.max_retries = 40;
 
   std::vector<obs::event> events;
-  std::vector<int> rounds(static_cast<std::size_t>(p), 0);
   {
     const obs_session session;
     world w(p);
     w.set_faults(cfg);
-    w.run([&](communicator& comm) {
-      swm::distributed_model<double> dm(comm, params);
-      dm.set_from_global(init);
-      swm::resilience_options opt;
-      opt.checkpoint_interval = 4;
-      const auto report = swm::run_resilient(comm, dm, 12, opt);
-      rounds[static_cast<std::size_t>(comm.rank())] = report.rounds;
-    });
+    resilient_run(w);
     events = obs::collect();
     EXPECT_EQ(obs::dropped(), 0u);
     EXPECT_GT(counter_value("resil.events"), 0u);
     EXPECT_GT(counter_value("swm.halo_bytes"), 0u);
   }
   ASSERT_GT(events.size(), 0u);
-  EXPECT_GE(*std::max_element(rounds.begin(), rounds.end()), 1)
-      << "the scheduled crash never triggered a recovery round";
+  for (const auto& report : reports) {
+    EXPECT_EQ(report.rounds, 1)
+        << "the scheduled crash must trigger one recovery round";
+  }
 
   const std::string json = obs::to_chrome_json(events);
   const auto v = obs::validate_chrome_json(json);

@@ -240,43 +240,50 @@ TEST(HaloFaults, RecoveryReplaysOverPackedChannels) {
   const int steps = 12;
   const auto init = initial_state<double>(params);
 
+  struct outcome {
+    std::vector<std::vector<double>> packed;
+    std::vector<recovery_report> reports;
+  };
   auto run_one = [&](const mpisim::fault_config& cfg, bool resilient) {
-    std::vector<std::vector<double>> packed(static_cast<std::size_t>(p));
+    outcome out;
+    out.packed.resize(static_cast<std::size_t>(p));
+    out.reports.resize(static_cast<std::size_t>(p));
     mpisim::world w(p);
     w.set_faults(cfg);
     w.run([&](mpisim::communicator& comm) {
       distributed_model<double> dm(comm, params);
       dm.set_from_global(init);
+      const auto r = static_cast<std::size_t>(comm.rank());
       if (resilient) {
         resilience_options opt;
         opt.checkpoint_interval = 4;
-        const auto report = run_resilient(comm, dm, steps, opt);
-        EXPECT_GE(report.rounds, 1) << "the crash must trigger recovery";
+        out.reports[r] = run_resilient(comm, dm, steps, opt);
       } else {
         dm.run(steps);
       }
-      auto& mine = packed[static_cast<std::size_t>(comm.rank())];
-      mine.resize(dm.packed_size());
-      dm.pack_state(std::span<double>(mine));
+      out.packed[r].resize(dm.packed_size());
+      dm.pack_state(std::span<double>(out.packed[r]));
     });
-    return packed;
+    return out;
   };
 
   mpisim::fault_config quiet;
   quiet.crashes.push_back({3, 1u << 30});  // fault plane on, never fires
-  const auto want = run_one(quiet, false);
+  const auto want = run_one(quiet, false).packed;
 
+  // The crash lands mid-run: halfway between the step-4 and step-8
+  // commits of a silent resilient run.
+  const auto probe = run_one(quiet, true).reports;
   mpisim::fault_config cfg;
   cfg.seed = 41;
-  cfg.crashes.push_back({1, 120});
+  cfg.crashes.push_back({1, mid_window_send(probe[1], 1)});
   const auto got = run_one(cfg, true);
 
   for (int r = 0; r < p; ++r) {
-    ASSERT_EQ(got[static_cast<std::size_t>(r)].size(),
-              want[static_cast<std::size_t>(r)].size());
-    EXPECT_EQ(got[static_cast<std::size_t>(r)],
-              want[static_cast<std::size_t>(r)])
-        << "rank " << r;
+    const auto k = static_cast<std::size_t>(r);
+    EXPECT_EQ(got.reports[k].rounds, 1) << "the crash must trigger recovery";
+    ASSERT_EQ(got.packed[k].size(), want[k].size());
+    EXPECT_EQ(got.packed[k], want[k]) << "rank " << r;
   }
 }
 

@@ -149,6 +149,24 @@ int total_rounds(const std::vector<rank_result>& rs) {
   return n;
 }
 
+/// A resilient run with the fault plane active but silent: its reports'
+/// commit_marks are where crashes get aimed.
+std::vector<rank_result> silent_probe(const swm_params& params, int p,
+                                      int steps,
+                                      const resilience_options& opt) {
+  mpisim::fault_config probe;
+  probe.crashes.push_back(never_fires());
+  return resilient_run(params, p, steps, probe, opt);
+}
+
+/// A crash of `rank` halfway through commit window `window` of the
+/// probe run: the same window under any message schedule.
+mpisim::crash_event crash_mid_window(const std::vector<rank_result>& probe,
+                                     int rank, std::size_t window) {
+  return {rank, mid_window_send(
+                    probe[static_cast<std::size_t>(rank)].report, window)};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -164,39 +182,46 @@ TEST_P(RecoveryMatrix, RecoversBitIdenticalToFaultFreeOracle) {
   const auto [p, k, schedule] = GetParam();
   const swm_params params = small_params();
   const int steps = 12;
+  resilience_options opt;
+  opt.checkpoint_interval = k;
+
+  // Crashes are aimed at commit windows of a silent probe run, so each
+  // schedule keeps its meaning whatever a step sends.
+  const auto probe = silent_probe(params, p, steps, opt);
+  const std::size_t windows = probe[0].report.commit_marks.size() - 1;
 
   mpisim::fault_config cfg;
   cfg.seed = 40 + static_cast<std::uint64_t>(schedule);
+  int promised_rounds = 1;
   switch (schedule) {
     case 0:  // one mid-run crash
-      cfg.crashes.push_back({1, 120});
+      cfg.crashes.push_back(crash_mid_window(probe, 1, windows / 2));
       break;
     case 1:  // two crashes, far enough apart for two separate rounds
-      cfg.crashes.push_back({1, 80});
-      cfg.crashes.push_back({0, 400});
+      cfg.crashes.push_back(crash_mid_window(probe, 1, 0));
+      cfg.crashes.push_back(crash_mid_window(probe, 0, windows - 1));
+      promised_rounds = 2;
       break;
     case 2:  // a crash in a storm of recoverable chaos
-      cfg.crashes.push_back({1, 120});
+      cfg.crashes.push_back(crash_mid_window(probe, 1, windows / 2));
       cfg.probs.drop = 0.02;
       cfg.probs.duplicate = 0.02;
       cfg.probs.corrupt = 0.02;
       cfg.retry.max_retries = 40;  // chaos must drain; only the
                                    // scheduled crash may kill
       break;
-    case 3:  // crash almost at the start: rollback to the initial state
-      cfg.crashes.push_back({0, 10});
+    case 3:  // crash in the first window: rollback to the initial state
+      cfg.crashes.push_back(crash_mid_window(probe, 0, 0));
       break;
     default:
       FAIL();
   }
 
   const auto want = oracle_run(params, p, steps);
-  resilience_options opt;
-  opt.checkpoint_interval = k;
   const auto got = resilient_run(params, p, steps, cfg, opt);
 
   expect_bitwise_match(got, want);
-  EXPECT_GE(total_rounds(got), 1);
+  EXPECT_EQ(total_rounds(got), promised_rounds);
   for (const auto& r : got) {
     EXPECT_FALSE(r.report.casualties.empty());
     EXPECT_GT(r.report.replayed_steps + r.report.rounds, 0);
@@ -226,9 +251,7 @@ TEST(Recovery, CrashDuringCheckpointCommit) {
 
   // Probe: fault plane active but silent; read rank 1's send count at
   // the entry of its third commit (initial, step 4, step 8).
-  mpisim::fault_config probe;
-  probe.crashes.push_back(never_fires());
-  const auto calib = resilient_run(params, p, steps, probe, opt);
+  const auto calib = silent_probe(params, p, steps, opt);
   ASSERT_GE(calib[1].report.commit_marks.size(), 3u);
   const std::uint64_t mark = calib[1].report.commit_marks[2];
 
@@ -240,7 +263,7 @@ TEST(Recovery, CrashDuringCheckpointCommit) {
   const auto want = oracle_run(params, p, steps);
   const auto got = resilient_run(params, p, steps, cfg, opt);
   expect_bitwise_match(got, want);
-  EXPECT_GE(total_rounds(got), 1);
+  EXPECT_EQ(total_rounds(got), 1);
 }
 
 TEST(Recovery, CrashDuringRecoveryRound) {
@@ -249,9 +272,13 @@ TEST(Recovery, CrashDuringRecoveryRound) {
   resilience_options opt;
   opt.checkpoint_interval = 4;
 
-  // Probe: one crash; read rank 3's send count at recovery entry.
+  // Probes: a silent run aims rank 1's crash at the window after the
+  // step-8 commit; a run with that crash reads rank 3's send count at
+  // recovery entry.
+  const mpisim::crash_event first =
+      crash_mid_window(silent_probe(params, p, steps, opt), 1, 2);
   mpisim::fault_config probe;
-  probe.crashes.push_back({1, 150});
+  probe.crashes.push_back(first);
   const auto calib = resilient_run(params, p, steps, probe, opt);
   const std::uint64_t entry = calib[3].report.recovery_entry_mark;
   ASSERT_GT(entry, 0u);
@@ -260,12 +287,12 @@ TEST(Recovery, CrashDuringRecoveryRound) {
   // round (the survivor agreement). The round must abort and restart
   // with the casualty set {1, 3} - non-adjacent, so still recoverable.
   mpisim::fault_config cfg;
-  cfg.crashes.push_back({1, 150});
+  cfg.crashes.push_back(first);
   cfg.crashes.push_back({3, entry});
   const auto want = oracle_run(params, p, steps);
   const auto got = resilient_run(params, p, steps, cfg, opt);
   expect_bitwise_match(got, want);
-  EXPECT_GE(total_rounds(got), 1);
+  EXPECT_EQ(total_rounds(got), 1);
   int aborted = 0;
   for (const auto& r : got) aborted = std::max(aborted, r.report.aborted_rounds);
   EXPECT_GE(aborted, 1);
@@ -286,9 +313,12 @@ TEST(Recovery, BuddyPairDeathIsUnrecoverableNotAHang) {
   resilience_options opt;
   opt.checkpoint_interval = 4;
 
-  // Probe: rank 0 dies alone; read rank 1's recovery-entry mark.
+  // Probes: a silent run aims rank 0's crash mid-run; a run with that
+  // crash alone reads rank 1's recovery-entry mark.
+  const mpisim::crash_event first =
+      crash_mid_window(silent_probe(params, p, steps, opt), 0, 1);
   mpisim::fault_config probe;
-  probe.crashes.push_back({0, 100});
+  probe.crashes.push_back(first);
   const auto calib = resilient_run(params, p, steps, probe, opt);
   const std::uint64_t entry = calib[1].report.recovery_entry_mark;
   ASSERT_GT(entry, 0u);
@@ -297,7 +327,7 @@ TEST(Recovery, BuddyPairDeathIsUnrecoverableNotAHang) {
   // each other's buddies, so both replicas are gone - every rank must
   // raise reason::unrecoverable, loudly and promptly.
   mpisim::fault_config cfg;
-  cfg.crashes.push_back({0, 100});
+  cfg.crashes.push_back(first);
   cfg.crashes.push_back({1, entry});
   const auto init = initial_state<double>(params);
   mpisim::world w(p);
@@ -333,7 +363,7 @@ TEST(Recovery, HealthSentinelTreatedLikeACrash) {
   const auto want = oracle_run(params, p, steps);
   const auto got = resilient_run(params, p, steps, cfg, opt);
   expect_bitwise_match(got, want);
-  EXPECT_GE(total_rounds(got), 1);
+  EXPECT_EQ(total_rounds(got), 1);
   for (const auto& r : got) {
     EXPECT_NE(std::find(r.report.casualties.begin(),
                         r.report.casualties.end(), 2),
@@ -449,11 +479,12 @@ TEST(Recovery, TraceRecordsCrashRoundsAndReplay) {
   const swm_params params = small_params();
   const int p = 4, steps = 12;
 
-  mpisim::fault_config cfg;
-  cfg.seed = 40;
-  cfg.crashes.push_back({1, 120});  // one mid-run crash on rank 1
   resilience_options opt;
   opt.checkpoint_interval = 4;
+  mpisim::fault_config cfg;
+  cfg.seed = 40;  // one mid-run crash on rank 1
+  cfg.crashes.push_back(
+      crash_mid_window(silent_probe(params, p, steps, opt), 1, 1));
 
   const auto want = oracle_run(params, p, steps);
   tfx::obs::metrics_registry::instance().clear();
