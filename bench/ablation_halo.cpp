@@ -1,11 +1,12 @@
 // Ablation: what halo aggregation and compute overlap buy.
 //
 // The distributed shallow-water model moves its halos through one
-// engine (swm/halo.hpp): all fields of a phase packed into one message
-// per neighbour - 16 sends per rank per step where one message per row
-// per field took 56 - with the interior compute overlapped under the
-// exchange. Two quantities are priced per configuration on the
-// simulated TofuD fabric:
+// engine (swm/halo.hpp): one packed message per neighbour per RHS
+// evaluation, two rows of u and v and one of eta - 8 sends per rank
+// per step where one message per row per field took 56 and the
+// two-phase packed engine 16 - with the interior compute overlapped
+// under the exchange. Two quantities are priced per configuration on
+// the simulated TofuD fabric:
 //
 //   halo_s  - virtual halo time per step (no modeled compute: the step
 //             loop's clock is pure communication). The paper's § III-A

@@ -10,16 +10,18 @@
 /// the serial model's own physics on its slab - the five row-range
 /// passes of rhs_evaluator<T, slab<T>> and the fused stage-combine and
 /// RK4 sweeps of timestep.hpp. The only code here is the decomposition:
-/// which rows a rank owns, and the two halo exchanges per RHS
-/// evaluation (the prognostic u,v,eta before the vorticity/KE and
-/// Laplacian passes, the derived zeta/KE/Laplacian fields before the
-/// tendency passes, which read them at j±1). tests/swm_distributed_test
-/// pins the trajectories bit-for-bit against the serial model.
+/// which rows a rank owns, and the one halo exchange per RHS
+/// evaluation. It brings two rows of u and v and one of eta, enough
+/// for the rank to compute the vorticity/KE and Laplacian passes on
+/// its halo rows too (rows -1..n), so the tendency passes find every
+/// derived row they read at j±1 without a second exchange.
+/// tests/swm_distributed_test pins the trajectories bit-for-bit
+/// against the serial model.
 ///
 /// Halos move through the packed halo_exchanger (swm/halo.hpp): one
-/// message per neighbour per phase, with the halo-independent interior
-/// rows computed while the payloads are in flight and the boundary
-/// rows after finish(). docs/COMM.md has the full story.
+/// message per neighbour per RHS evaluation, with the halo-independent
+/// interior rows computed while the payloads are in flight and the
+/// boundary rows after finish(). docs/COMM.md has the full story.
 ///
 /// Restrictions: every rank's slab must be at least 2 rows tall
 /// (ny / ranks >= 2; uneven decompositions spread the remainder over
@@ -27,6 +29,7 @@
 /// (rhs_evaluator checks dx == dy); standard or compensated
 /// integration (mixed precision is a single-rank feature).
 
+#include <algorithm>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -87,7 +90,7 @@ class distributed_model {
   [[nodiscard]] const swm_params& params() const { return params_; }
 
   /// Charge `seconds` of modeled compute per RHS evaluation onto the
-  /// rank's virtual clock, split across the two exchange windows by
+  /// rank's virtual clock, split around the exchange by
   /// split_rhs_compute. 0 (the default) keeps the step loop's virtual
   /// time comm-only. With a charge set, the interior share is paid
   /// while the halo payloads are in flight - which is what makes
@@ -269,8 +272,6 @@ class distributed_model {
   }
 
  private:
-  using engine_phase = typename halo_exchanger<T>::phase;
-
   static const swm_params& checked(const swm_params& p, int ranks) {
     TFX_EXPECTS(p.bc == boundary::periodic &&
                 "distributed_model supports periodic boundaries");
@@ -279,42 +280,40 @@ class distributed_model {
     return p;
   }
 
-  /// rhs_evaluator::operator()'s five passes on the slab, around the
-  /// two halo phases: each pass group runs its interior rows
-  /// (1..local_ny-2, which read no halo) while the packed halos are in
-  /// flight and its boundary rows (0 and local_ny-1) after finish().
-  /// Per-point arithmetic and inputs are unchanged, so the reordering
-  /// is bit-invisible.
+  /// The evaluator's five passes on the slab, around one exchange.
+  /// Passes 1-2 (vorticity/KE, Laplacians) run over rows -1..n, so the
+  /// derived rows that passes 3-5 read at j±1 are computed here rather
+  /// than received: the same expressions on bit-identical inputs as on
+  /// the neighbour. While the payloads fly, passes 1-2 run on rows
+  /// 1..n-2 and passes 3-5 on rows 2..n-3, which read no halo and no
+  /// derived halo row; the rest runs after finish(). Per-point
+  /// arithmetic and inputs are unchanged, so the reordering is
+  /// bit-invisible.
   void eval_rhs(slab_state<T>& st, tendencies<T>& out) {
-    const int nyl = local_ny_;
-    auto prognostic_passes = [&](int jb, int je) {
+    const int n = local_ny_;
+    auto derived_passes = [&](int jb, int je) {
       rhs_.pass_vorticity_ke(st, jb, je);
       rhs_.pass_laplacians(st, jb, je);
     };
-    // The continuity pass needs only prognostic halos, but runs with
-    // the tendencies to keep the serial pass order.
     auto tendency_passes = [&](int jb, int je) {
       rhs_.pass_u_momentum(st, out, jb, je);
       rhs_.pass_v_momentum(st, out, jb, je);
       rhs_.pass_continuity(st, out, jb, je);
     };
+    // Tendency rows [lo, hi) read derived rows 1..n-2 only.
+    const int lo = std::min(2, n);
+    const int hi = std::max(lo, n - 2);
 
-    halo_.start(engine_phase::prognostic, {&st.u, &st.v, &st.eta});
-    prognostic_passes(1, nyl - 1);
-    charge(rhs_split_.interior_prognostic);
+    halo_.start(st);
+    derived_passes(1, n - 1);
+    tendency_passes(lo, hi);
+    charge(rhs_split_.interior);
     halo_.finish();
-    prognostic_passes(0, 1);
-    prognostic_passes(nyl - 1, nyl);
-    charge(rhs_split_.boundary_prognostic);
-
-    const auto [zeta, ke, lap_u, lap_v] = rhs_.derived_fields();
-    halo_.start(engine_phase::derived, {zeta, ke, lap_u, lap_v});
-    tendency_passes(1, nyl - 1);
-    charge(rhs_split_.interior_derived);
-    halo_.finish();
-    tendency_passes(0, 1);
-    tendency_passes(nyl - 1, nyl);
-    charge(rhs_split_.boundary_derived);
+    derived_passes(-1, 1);
+    derived_passes(n - 1, n + 1);
+    tendency_passes(0, lo);
+    tendency_passes(hi, n);
+    charge(rhs_split_.boundary);
   }
 
   /// Modeled compute charge (set_modeled_rhs_seconds); mirrors the

@@ -11,7 +11,7 @@
 ///    doubly-periodic beta-plane configuration; DESIGN.md documents
 ///    this simplification of ShallowWaters.jl's closed basin);
 ///  * slab<T>    - one rank's rows of a y-decomposed grid, periodic in
-///    x, with one halo row below and above that the distributed model
+///    x, with two halo rows below and above that the distributed model
 ///    fills from the neighbouring ranks (swm/distributed.hpp).
 ///
 /// The element type is the template parameter the whole
@@ -72,17 +72,21 @@ class field2d {
   std::vector<T> data_;
 };
 
-/// nx x ny slab of a y-decomposed grid with one halo row below
-/// (j = -1) and above (j = ny). Periodic in x only; jm/jp step onto
-/// the halo rows, which the owner fills from the y-neighbours.
+/// nx x ny slab of a y-decomposed grid with `halo` rows below
+/// (j = -2, -1) and above (j = ny, ny + 1). Periodic in x only; jm/jp
+/// step onto the halo rows, which the owner fills from the
+/// y-neighbours.
 template <typename T>
 class slab {
  public:
+  /// Halo rows on each side.
+  static constexpr int halo = 2;
+
   slab() = default;
   slab(int nx, int ny)
       : nx_(nx), ny_(ny),
         data_(static_cast<std::size_t>(nx) *
-              static_cast<std::size_t>(ny + 2)) {
+              static_cast<std::size_t>(ny + 2 * halo)) {
     TFX_EXPECTS(nx > 0 && ny >= 2);
   }
 
@@ -90,14 +94,14 @@ class slab {
   /// Rows owned (halo rows excluded).
   [[nodiscard]] int ny() const { return ny_; }
 
-  /// j in [-1, ny] (halo rows included).
+  /// j in [-halo, ny + halo) (halo rows included).
   T& operator()(int i, int j) {
-    return data_[static_cast<std::size_t>(j + 1) *
+    return data_[static_cast<std::size_t>(j + halo) *
                      static_cast<std::size_t>(nx_) +
                  static_cast<std::size_t>(i)];
   }
   const T& operator()(int i, int j) const {
-    return data_[static_cast<std::size_t>(j + 1) *
+    return data_[static_cast<std::size_t>(j + halo) *
                      static_cast<std::size_t>(nx_) +
                  static_cast<std::size_t>(i)];
   }
@@ -107,7 +111,7 @@ class slab {
   [[nodiscard]] int jp(int j) const { return j + 1; }
   [[nodiscard]] int jm(int j) const { return j - 1; }
 
-  /// Interior row j as a span (for sends and bulk updates).
+  /// Row j as a span, halo rows included (for packing and wrapping).
   [[nodiscard]] std::span<T> row(int j) {
     return {&(*this)(0, j), static_cast<std::size_t>(nx_)};
   }

@@ -5,17 +5,15 @@ namespace tfx::swm {
 rhs_compute_split split_rhs_compute(double seconds_per_eval, int local_ny) {
   rhs_compute_split out;
   if (seconds_per_eval <= 0) return out;
-  // All four terms are pure functions of (s, local_ny) evaluated only
+  // Both terms are pure functions of (s, local_ny) evaluated only
   // here, so the threaded model and the DES program charge
   // bit-identical doubles (EXPECT_DOUBLE_EQ in the cross-pin test).
-  const double interior_frac = static_cast<double>(local_ny - 2) /
-                               static_cast<double>(local_ny);
-  const double prognostic_share = 0.4 * seconds_per_eval;
-  const double derived_share = 0.6 * seconds_per_eval;
-  out.interior_prognostic = prognostic_share * interior_frac;
-  out.boundary_prognostic = prognostic_share - out.interior_prognostic;
-  out.interior_derived = derived_share * interior_frac;
-  out.boundary_derived = derived_share - out.interior_derived;
+  const int n = local_ny;
+  const int interior_rows = 2 * (n - 2) + 3 * std::max(0, n - 4);
+  const int pass_rows = 2 * (n + 2) + 3 * n;
+  out.interior = seconds_per_eval * static_cast<double>(interior_rows) /
+                 static_cast<double>(pass_rows);
+  out.boundary = seconds_per_eval - out.interior;
   return out;
 }
 
@@ -25,7 +23,8 @@ mpisim::sim_program make_halo_program(int p, int nx, std::size_t elem_bytes,
   mpisim::sim_program prog(p);
   const rhs_compute_split cs =
       split_rhs_compute(rhs_seconds_per_eval, local_ny);
-  const std::size_t row = static_cast<std::size_t>(nx) * elem_bytes;
+  const std::size_t packed = static_cast<std::size_t>(halo_message_rows) *
+                             static_cast<std::size_t>(nx) * elem_bytes;
   for (int r = 0; r < p; ++r) {
     auto& ops = prog.rank(r);
     const int up = (r + 1) % p;
@@ -35,25 +34,19 @@ mpisim::sim_program make_halo_program(int p, int nx, std::size_t elem_bytes,
     auto charge = [&ops](double s) {
       if (s > 0) ops.push_back(mpisim::sim_op::compute_for(s));
     };
-    // On one rank the wrap is local: no messages, compute still charged.
-    auto phase = [&](std::size_t fields, double interior, double boundary) {
-      const std::size_t packed = fields * row;
+    // One exchange per RK4 stage. On one rank the wrap is local: no
+    // messages, compute still charged.
+    for (int stage = 0; stage < 4 * steps; ++stage) {
       if (p > 1) {  // start(): both sends post eagerly
         ops.push_back(mpisim::sim_op::send_to(up, packed));
         ops.push_back(mpisim::sim_op::send_to(down, packed));
       }
-      charge(interior);  // interior rows, payloads in flight
+      charge(cs.interior);  // interior rows, payloads in flight
       if (p > 1) {  // finish(): wait down, then up
         ops.push_back(mpisim::sim_op::recv_from(down, packed));
         ops.push_back(mpisim::sim_op::recv_from(up, packed));
       }
-      charge(boundary);
-    };
-    for (int s = 0; s < steps; ++s) {
-      for (int stage = 0; stage < 4; ++stage) {
-        phase(3, cs.interior_prognostic, cs.boundary_prognostic);
-        phase(4, cs.interior_derived, cs.boundary_derived);
-      }
+      charge(cs.boundary);
     }
   }
   return prog;

@@ -1,33 +1,33 @@
 #pragma once
 
 /// \file halo.hpp
-/// The halo engine of the distributed shallow-water model: the
-/// aggregated, overlappable halo_exchanger over slab<T> (swm/field.hpp).
+/// The halo engine of the distributed shallow-water model: the packed,
+/// overlappable halo_exchanger over slab_state<T> (swm/field.hpp).
 ///
 /// The paper's § III-A (Figs. 2-3) shows per-message overhead only
-/// vanishing once payloads reach the ≳1-2 KiB regime; shipping each
-/// halo row of each field as its own message would pay 7 alpha terms
-/// per direction per RHS evaluation where 2 do. The engine packs all
-/// fields of a phase (3 prognostic / 4 derived) into one contiguous
-/// buffer per neighbour direction - 8 sends per neighbour per RK4
-/// step - and exposes start()/finish() so the caller can compute
-/// halo-independent interior rows while the messages are in flight.
-/// docs/COMM.md describes the packing layout, the overlap window, and
-/// the virtual-time accounting.
+/// vanishing once payloads reach the ≳1-2 KiB regime, and a halo row
+/// is a small payload. The engine therefore ships everything one RHS
+/// evaluation reads across a slab boundary as one packed message per
+/// neighbour direction: two rows of u and v and one row of eta
+/// (halo_layout). Each rank computes the vorticity, kinetic energy and
+/// Laplacians of its own halo rows, so no derived field crosses the
+/// wire - 8 sends per rank per RK4 step. start()/finish() let the
+/// caller compute halo-independent interior rows while the messages
+/// are in flight. docs/COMM.md describes the packing layout, the
+/// overlap window, and the virtual-time accounting.
 ///
 /// Fault-plane compatibility is inherited wholesale: packed channels
 /// go through the same send_bytes/recv_bytes paths as any message, so
 /// they carry sequence numbers and checksums, retry with backoff, and
 /// surface crashes as comm_error - which the engine re-annotates with
-/// the phase name. Abandoning a phase mid-exchange (a comm_error
-/// during a faulted run) leaves no runtime state behind, because
-/// pending receive requests are lazy matchers; recovery replay simply
-/// re-arms the engine on the next start().
+/// its rank. Abandoning an exchange mid-flight (a comm_error during a
+/// faulted run) leaves no runtime state behind, because pending
+/// receive requests are lazy matchers; recovery replay simply re-arms
+/// the engine on the next start().
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,120 +41,107 @@
 
 namespace tfx::swm {
 
-/// Persistent aggregated halo engine: one packed message per neighbour
-/// direction per phase, receives posted up front, completion split
-/// into start()/finish() so interior computation can run while the
-/// payloads are in flight.
+/// Rows of u, v and eta one halo message carries per direction, in
+/// packing order. The vorticity/KE and Laplacian passes run over rows
+/// -1..n and read u and v at j ± 1, so u and v need two halo rows; the
+/// tendency passes run over rows 0..n-1 and read eta at j ± 1, so eta
+/// needs one.
+inline constexpr std::array<int, 3> halo_layout = {2, 2, 1};
+
+/// Rows per packed halo message: 2 + 2 + 1.
+inline constexpr int halo_message_rows =
+    halo_layout[0] + halo_layout[1] + halo_layout[2];
+
+/// Persistent packed halo engine: one message per neighbour direction
+/// per RHS evaluation, receives posted up front, completion split into
+/// start()/finish() so interior computation can run while the payloads
+/// are in flight.
 ///
-/// Packing layout (field-major): the up-going buffer holds
-/// [field0 top row | field1 top row | ...] and the down-going buffer
-/// the bottom rows in the same order; the receive buffers mirror this,
-/// so unpack offsets are a pure function of (field index, nx) for any
-/// field count 1..max_fields. All four buffers are sized for the
-/// widest phase at construction - start()/finish() never allocate.
+/// Packing layout (field-major, halo_layout): the up-going buffer holds
+/// [u rows n-2, n-1 | v rows n-2, n-1 | eta row n-1] and the down-going
+/// buffer [u rows 0, 1 | v rows 0, 1 | eta row 0]. What arrives from
+/// below fills rows -2, -1 (eta: -1), what arrives from above rows n,
+/// n+1 (eta: n). The buffers are sized at construction -
+/// start()/finish() never allocate.
 template <typename T>
 class halo_exchanger {
+  static_assert(std::ranges::max(halo_layout) <= slab<T>::halo);
+
  public:
-  /// Which of the two eval_rhs exchange phases a start() serves.
-  enum class phase : std::uint8_t { prognostic = 0, derived = 1 };
-
-  /// Widest phase the engine must carry (the derived fields).
-  static constexpr std::size_t max_fields = 4;
-
   halo_exchanger() = default;
   halo_exchanger(mpisim::communicator& comm, int nx)
       : comm_(&comm), nx_(nx) {
     TFX_EXPECTS(nx > 0);
-    const std::size_t cap = static_cast<std::size_t>(nx) * max_fields;
-    send_up_.resize(cap);
-    send_down_.resize(cap);
-    recv_down_.resize(cap);
-    recv_up_.resize(cap);
-    fields_.reserve(max_fields);
+    const std::size_t n = static_cast<std::size_t>(nx) * halo_message_rows;
+    send_up_.resize(n);
+    send_down_.resize(n);
+    recv_down_.resize(n);
+    recv_up_.resize(n);
   }
 
-  /// Pack the top/bottom rows of `fields`, post both receives, then
+  /// Post both receives, pack the boundary rows of `st`, then post
   /// both sends (eager: never blocks). On a single rank this is a
   /// deferred periodic wrap (applied at finish(), after the caller's
-  /// interior pass). Re-arming over a phase abandoned by a comm_error
-  /// is safe: pending requests hold no mailbox state.
-  void start(phase ph, std::initializer_list<slab<T>*> fields) {
-    TFX_EXPECTS(fields.size() >= 1 && fields.size() <= max_fields);
-    fields_.assign(fields.begin(), fields.end());
-    phase_ = ph;
+  /// interior rows). Re-arming over an exchange abandoned by a
+  /// comm_error is safe: pending requests hold no mailbox state.
+  void start(slab_state<T>& st) {
+    st_ = &st;
     in_flight_ = true;
     const int p = comm_->size();
     if (p == 1) return;
     const int r = comm_->rank();
     const int up = (r + 1) % p;
     const int down = (r - 1 + p) % p;
-    const int tag = tag_of(ph);
-    const std::size_t n =
-        fields_.size() * static_cast<std::size_t>(nx_);
     const obs::scoped_vspan pack_span(
         obs::domain::swm, static_cast<std::uint16_t>(r), "halo.pack",
-        [this] { return comm_->now(); },
-        static_cast<std::uint64_t>(phase_), n * sizeof(T));
+        [this] { return comm_->now(); }, halo_message_rows, message_bytes());
     // Receives first: from this instant the in-flight payloads can
     // land while the caller computes interior rows.
-    rx_[0] = comm_->irecv(std::span<T>(recv_down_.data(), n), down, tag);
-    rx_[1] = comm_->irecv(std::span<T>(recv_up_.data(), n), up, tag + 1);
-    std::size_t at = 0;
-    for (slab<T>* f : fields_) {
-      const auto top = f->row(f->ny() - 1);
-      const auto bottom = f->row(0);
-      std::copy(top.begin(), top.end(), send_up_.begin() + at);
-      std::copy(bottom.begin(), bottom.end(), send_down_.begin() + at);
-      at += static_cast<std::size_t>(nx_);
-    }
+    rx_[0] = comm_->irecv(std::span<T>(recv_down_), down, tags::halo);
+    rx_[1] = comm_->irecv(std::span<T>(recv_up_), up, tags::halo + 1);
+    for_each_row([this](slab<T>& f, int lo, int hi, std::size_t at) {
+      std::ranges::copy(f.row(hi), send_up_.begin() + at);
+      std::ranges::copy(f.row(lo), send_down_.begin() + at);
+    });
     try {
-      comm_->send(std::span<const T>(send_up_.data(), n), up, tag);
-      comm_->send(std::span<const T>(send_down_.data(), n), down, tag + 1);
+      comm_->send(std::span<const T>(send_up_), up, tags::halo);
+      comm_->send(std::span<const T>(send_down_), down, tags::halo + 1);
     } catch (const mpisim::comm_error& e) {
       in_flight_ = false;
       throw annotated(e);
     }
     messages_ += 2;
-    bytes_ += 2 * n * sizeof(T);
+    bytes_ += 2 * message_bytes();
   }
 
-  /// Complete the phase: wait for both packed payloads (down first,
+  /// Complete the exchange: wait for both packed payloads (down first,
   /// then up - the DES twin in make_halo_program mirrors this order)
-  /// and scatter them into the halo rows of every field.
+  /// and scatter them into the halo rows.
   void finish() {
     TFX_EXPECTS(in_flight_);
-    const int p = comm_->size();
-    if (p == 1) {  // periodic in y on one rank: the halos wrap locally
-      for (slab<T>* f : fields_) {
-        for (int i = 0; i < nx_; ++i) {
-          (*f)(i, -1) = (*f)(i, f->ny() - 1);
-          (*f)(i, f->ny()) = (*f)(i, 0);
-        }
-      }
-      in_flight_ = false;
+    in_flight_ = false;
+    if (comm_->size() == 1) {  // periodic in y on one rank: a local wrap
+      for_each_row([](slab<T>& f, int lo, int hi, std::size_t) {
+        std::ranges::copy(f.row(hi), f.row(hi - f.ny()).begin());
+        std::ranges::copy(f.row(lo), f.row(lo + f.ny()).begin());
+      });
       return;
     }
     {
       const obs::scoped_vspan wait_span(
           obs::domain::swm, static_cast<std::uint16_t>(comm_->rank()),
-          "halo.wait", [this] { return comm_->now(); },
-          static_cast<std::uint64_t>(phase_));
+          "halo.wait", [this] { return comm_->now(); }, halo_message_rows,
+          message_bytes());
       try {
         comm_->wait_all(std::span<mpisim::request>(rx_));
       } catch (const mpisim::comm_error& e) {
-        in_flight_ = false;
         throw annotated(e);
       }
     }
-    std::size_t at = 0;
-    for (slab<T>* f : fields_) {
-      for (int i = 0; i < nx_; ++i) {
-        (*f)(i, -1) = recv_down_[at + static_cast<std::size_t>(i)];
-        (*f)(i, f->ny()) = recv_up_[at + static_cast<std::size_t>(i)];
-      }
-      at += static_cast<std::size_t>(nx_);
-    }
-    in_flight_ = false;
+    for_each_row([this](slab<T>& f, int lo, int hi, std::size_t at) {
+      std::copy_n(recv_down_.begin() + at, nx_, f.row(hi - f.ny()).begin());
+      std::copy_n(recv_up_.begin() + at, nx_, f.row(lo + f.ny()).begin());
+    });
   }
 
   [[nodiscard]] bool in_flight() const { return in_flight_; }
@@ -163,47 +150,58 @@ class halo_exchanger {
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
 
-  [[nodiscard]] static int tag_of(phase ph) {
-    return ph == phase::prognostic ? tags::halo_packed_prognostic
-                                   : tags::halo_packed_derived;
-  }
-  [[nodiscard]] static const char* name_of(phase ph) {
-    return ph == phase::prognostic ? "prognostic" : "derived";
+ private:
+  [[nodiscard]] std::size_t message_bytes() const {
+    return send_up_.size() * sizeof(T);
   }
 
- private:
+  /// Visit every row a message carries, in packing order: the field,
+  /// the row's index `lo` counted from the slab's bottom (0, 1, ...),
+  /// the matching row `hi` counted from its top, and the row's offset
+  /// in the packed buffers. Row `hi` of the rank below lands in halo
+  /// row hi - ny; row `lo` of the rank above in halo row lo + ny.
+  template <typename Fn>
+  void for_each_row(const Fn& fn) {
+    slab<T>* const fields[] = {&st_->u, &st_->v, &st_->eta};
+    std::size_t at = 0;
+    for (std::size_t f = 0; f < halo_layout.size(); ++f) {
+      for (int lo = 0; lo < halo_layout[f]; ++lo) {
+        fn(*fields[f], lo, fields[f]->ny() - halo_layout[f] + lo, at);
+        at += static_cast<std::size_t>(nx_);
+      }
+    }
+  }
+
   [[nodiscard]] mpisim::comm_error annotated(
       const mpisim::comm_error& e) const {
     return mpisim::comm_error(
         e.why(), e.peer(),
         "halo exchange (rank " + std::to_string(comm_->rank()) +
-            ", packed " + name_of(phase_) + " phase): " + e.what());
+            ", packed u,v,eta rows): " + e.what());
   }
 
   mpisim::communicator* comm_ = nullptr;
   int nx_ = 0;
-  phase phase_ = phase::prognostic;
   bool in_flight_ = false;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
-  std::vector<slab<T>*> fields_;
+  slab_state<T>* st_ = nullptr;
   std::vector<T> send_up_, send_down_, recv_down_, recv_up_;
   std::array<mpisim::request, 2> rx_;
 };
 
-/// Deterministic split of one RHS evaluation's modeled compute across
-/// the two overlap windows: 2 of the 5 stencil passes (vorticity/KE
-/// and the Laplacians) run inside the prognostic window, 3 (the
-/// tendencies) inside the derived one, and each window's charge splits
-/// into an interior part (rows 1..local_ny-2, charged while messages
-/// fly) and a boundary part (rows 0 and local_ny-1, charged after
-/// finish()). Shared by distributed_model and make_halo_program so the
-/// DES cross-pin compares bit-identical doubles.
+/// Deterministic split of one RHS evaluation's modeled compute around
+/// the exchange, by pass-rows: the vorticity/KE and Laplacian passes
+/// run on local_ny + 2 rows, the three tendency passes on local_ny.
+/// The interior share is the pass-rows that read no halo (passes 1-2
+/// on rows 1..local_ny-2, passes 3-5 on rows 2..local_ny-3), charged
+/// while the messages fly; the boundary share is charged after
+/// finish(). A 2-row slab has no interior share. Shared by
+/// distributed_model and make_halo_program so the DES cross-pin
+/// compares bit-identical doubles.
 struct rhs_compute_split {
-  double interior_prognostic = 0;
-  double boundary_prognostic = 0;
-  double interior_derived = 0;
-  double boundary_derived = 0;
+  double interior = 0;
+  double boundary = 0;
 };
 rhs_compute_split split_rhs_compute(double seconds_per_eval, int local_ny);
 
@@ -211,12 +209,12 @@ rhs_compute_split split_rhs_compute(double seconds_per_eval, int local_ny);
 /// event program, operation for operation. Unlike the collectives
 /// (mpisim/patterns.hpp), the engine cannot be captured: it posts
 /// requests on the concrete communicator and charges compute from
-/// model state. Per RK4 stage, a 3-field prognostic phase then a
-/// 4-field derived phase, with the modeled compute charges placed
-/// exactly where distributed_model places its advance() calls. tests/swm_halo_test
-/// pins the threaded model's virtual clocks against simulate() of this
-/// program. Requires a uniform decomposition (every rank `local_ny`
-/// rows).
+/// model state. Per RK4 stage, one packed exchange of
+/// halo_message_rows rows each way, with the modeled compute charges
+/// placed exactly where distributed_model places its advance() calls.
+/// tests/swm_halo_test pins the threaded model's virtual clocks
+/// against simulate() of this program. Requires a uniform
+/// decomposition (every rank `local_ny` rows).
 mpisim::sim_program make_halo_program(int p, int nx, std::size_t elem_bytes,
                                       int steps, double rhs_seconds_per_eval,
                                       int local_ny);

@@ -33,6 +33,7 @@
 #include "swm/params.hpp"
 #include "swm/perfmodel.hpp"
 #include "swm/rhs.hpp"
+#include "swm/sweep.hpp"
 #include "swm/timestep.hpp"
 
 namespace tfx::swm {

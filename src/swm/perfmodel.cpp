@@ -1,10 +1,12 @@
 #include "swm/perfmodel.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "arch/roofline.hpp"
 #include "core/contracts.hpp"
+#include "swm/halo.hpp"
 
 namespace tfx::swm {
 
@@ -118,27 +120,26 @@ namespace {
 /// `message(bytes, up)` for each send the rank posts - the single
 /// source of message structure for both predict_halo overloads.
 ///
-/// Per RK4 stage: a 3-field prognostic phase and a 4-field derived
-/// phase, each shipping one up and one down message per rank -
-/// packed under aggregation, per-field otherwise. Overlap changes
-/// *when* the time is paid, not how much traffic exists, so the
-/// aggregated modes share one prediction.
+/// Per RK4 stage, each entry of the scheme's row list is one up and
+/// one down message of that many rows. The engine ships the
+/// halo_message_rows layout (swm/halo.hpp) once; the retired engines
+/// shipped 3 prognostic then 4 derived rows, packed per phase or one
+/// message per field.
 template <typename Fn>
 void for_each_halo_message(int nx, std::size_t elem_bytes, halo_mode mode,
                            Fn&& message) {
+  static constexpr std::size_t per_field[] = {1, 1, 1, 1, 1, 1, 1};
+  static constexpr std::size_t two_phase[] = {3, 4};
+  static constexpr std::size_t engine[] = {halo_message_rows};
+  using rows_list = std::span<const std::size_t>;
+  const rows_list rows = mode == halo_mode::per_field    ? rows_list(per_field)
+                         : mode == halo_mode::aggregated ? rows_list(two_phase)
+                                                         : rows_list(engine);
   const std::size_t row = static_cast<std::size_t>(nx) * elem_bytes;
-  constexpr std::size_t phase_fields[2] = {3, 4};
   for (int stage = 0; stage < 4; ++stage) {
-    for (const std::size_t fields : phase_fields) {
-      if (mode == halo_mode::per_field) {
-        for (std::size_t f = 0; f < fields; ++f) {
-          message(row, true);   // up
-          message(row, false);  // down
-        }
-      } else {
-        message(fields * row, true);
-        message(fields * row, false);
-      }
+    for (const std::size_t n : rows) {
+      message(n * row, true);   // up
+      message(n * row, false);  // down
     }
   }
 }

@@ -67,12 +67,13 @@ double speedup_vs_float64(const arch::a64fx_params& machine, int nx, int ny,
                           const precision_config& config);
 
 /// Halo-exchange schemes predict_halo can price (docs/COMM.md). The
-/// distributed model runs aggregated_overlap; the other two are priced
-/// only, as the baselines aggregation is measured against.
+/// distributed model runs aggregated_overlap; the other two are retired
+/// engines, priced only, as the baselines it is measured against.
 enum class halo_mode : std::uint8_t {
-  per_field,           ///< 7 blocking per-field exchanges per RHS eval
-  aggregated,          ///< one packed message per neighbour per phase
-  aggregated_overlap,  ///< packed + interior compute under the exchange
+  per_field,           ///< 7 blocking one-row exchanges per RHS eval
+  aggregated,          ///< packed 3 prognostic + 4 derived row phases
+  aggregated_overlap,  ///< one packed 2+2+1-row exchange per RHS eval,
+                       ///< interior compute under it (the engine)
 };
 
 /// Alpha-beta prediction of one rank's halo communication per RK4

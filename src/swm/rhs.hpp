@@ -21,7 +21,8 @@
 /// Written once for both grid containers (swm/field.hpp): the serial
 /// model evaluates the whole field2d grid, the distributed model one
 /// rank's slab rows - calling the five row-range passes itself, around
-/// its halo exchanges (swm/distributed.hpp).
+/// its halo exchange, with passes 1-2 also covering the halo row on
+/// each side (swm/distributed.hpp).
 ///
 /// Loop contract (docs/MODEL.md): per row, a pass takes the row
 /// pointers it reads and writes once, with the coefficients hoisted
@@ -52,16 +53,13 @@
 /// forcing dv = 0 on the wall row.
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <vector>
 
 #include "core/contracts.hpp"
 #include "core/threadpool.hpp"
-#include "fp/fpenv.hpp"
 #include "swm/field.hpp"
 #include "swm/params.hpp"
-#include "swm/sweep.hpp"
 
 namespace tfx::swm {
 
@@ -85,7 +83,8 @@ class rhs_evaluator {
   explicit rhs_evaluator(const swm_params& p) : rhs_evaluator(p, 0, p.ny) {}
 
   /// `rows` rows starting at global row `j0`: the Coriolis and wind
-  /// tables are functions of the global row.
+  /// tables are functions of the global row. On slabs the derived
+  /// fields also hold the halo rows passes 1-2 may fill.
   rhs_evaluator(const swm_params& p, int j0, int rows)
       : coeffs_(coefficients<T>::make(p)),
         channel_(p.bc == boundary::channel),
@@ -117,12 +116,11 @@ class rhs_evaluator {
 
   [[nodiscard]] const coefficients<T>& coeffs() const { return coeffs_; }
 
-  /// Attach a thread pool: the evaluation then partitions each pass's
-  /// rows over the workers, all five passes under one worker wake
-  /// (thread_pool::parallel_region, with a barrier between passes).
-  /// Row partitioning writes disjoint rows, so the result is
-  /// bit-identical to the serial evaluation (tests/swm_parallel_test
-  /// pins this).
+  /// Attach a thread pool: model::step then runs the tasks of
+  /// append_region_tasks under one worker wake per RK4 stage, each
+  /// pass's rows partitioned over the workers. Row partitioning writes
+  /// disjoint rows, so the result is bit-identical to the serial
+  /// evaluation (tests/swm_parallel_test pins this).
   void attach_pool(thread_pool* pool) { pool_ = pool; }
   [[nodiscard]] thread_pool* pool() const { return pool_; }
 
@@ -131,18 +129,6 @@ class rhs_evaluator {
   /// the same bound as thread_pool::serial_grain).
   [[nodiscard]] bool parallel_for_rows(int ny) const {
     return pool_ != nullptr && ny >= 2 * pool_->size();
-  }
-
-  /// Evaluate the increments for state `st` into `out`.
-  void operator()(const grid_state& st, tendencies<T>& out) {
-    if (parallel_for_rows(st.ny())) {
-      thread_pool::task tasks[pass_count];
-      append_region_tasks(tasks, st, out);
-      ftz_worker_scope scope;
-      pool_->parallel_region({tasks, pass_count}, &scope);
-    } else {
-      evaluate_serial(st, out);
-    }
   }
 
   /// The five passes, serially, in dependency order.
@@ -182,15 +168,10 @@ class rhs_evaluator {
   static constexpr double array_reads = 19.0;
   static constexpr double array_writes = 7.0;
 
-  /// The fields passes 1-2 write and passes 3-5 read at rows j-1..j+1
-  /// (vorticity, kinetic energy, the two Laplacians): on slabs, their
-  /// halo rows must be filled between the two pass groups.
-  [[nodiscard]] std::array<Grid*, 4> derived_fields() {
-    return {&zeta_, &ke_, &lap_u_, &lap_v_};
-  }
-
   // The five passes, each over rows [j0, j1). Passes 1-2 read the
-  // state at rows j-1..j+1; passes 3-5 also read derived_fields().
+  // state at rows j-1..j+1 and write the derived fields (vorticity,
+  // kinetic energy, the two Laplacians); passes 3-5 read the state and
+  // the derived fields at rows j-1..j+1.
 
   // Pass 1: relative vorticity (grid units, scale s) at corner points
   // and kinetic energy at centres. The KE is kept at scale s (not

@@ -10,20 +10,19 @@
 ///
 /// | band                | tags                 | owner                  |
 /// |---------------------|----------------------|------------------------|
-/// | halo exchange       | 1100 – 1111          | swm/halo.hpp           |
+/// | halo exchange       | 1100 – 1101          | swm/halo.hpp           |
 /// | resilience protocol | 1<<18 – (1<<18)+16k  | swm/resilience.hpp     |
 /// | collectives         | >= 1<<20             | mpisim/collectives.hpp |
 ///
-/// Each halo channel uses a tag *pair*: `tag` carries the upward send
-/// (my top rows to rank r+1) and `tag + 1` the downward send, matching
+/// The halo channel uses a tag *pair*: `halo` carries the upward send
+/// (my top rows to rank r+1) and `halo + 1` the downward send, matching
 /// `halo_exchanger::start`.
 
 namespace tfx::swm::tags {
 
-// -- halo channels (swm::halo_exchanger): one tag pair per phase; all
-//    fields of the phase ride in a single packed payload.
-inline constexpr int halo_packed_prognostic = 1100;
-inline constexpr int halo_packed_derived = 1110;
+// -- halo channel (swm::halo_exchanger): u, v and eta ride in one
+//    packed payload per direction.
+inline constexpr int halo = 1100;
 
 // -- resilience band: buddy checkpointing and rollback recovery
 //    (resilience.hpp re-exports these under its historical names).

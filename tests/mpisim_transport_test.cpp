@@ -371,14 +371,14 @@ const transport_golden transport_goldens[] = {
     {1, 0xc395b574328a0cf1ull, 0xb9398c450c98f921ull, 0x10f6a2dbd65885c2ull,
      0xd852dcb87b6f12a3ull, 0, {}, 0, 0},
     {2, 0x692d63526843e94aull, 0x6482431d2be1734bull, 0xc8bf7f237323477cull,
-     0xaf6881288b4a93bfull, 0x8077d7e0664aa765ull, {0, 1},
-     0x3c94f17141acab79ull, 0x6a82963a946ba62full},
+     0xe1898faaef46aa83ull, 0x8077d7e0664aa765ull, {0, 1},
+     0x3c94f17141acab79ull, 0xea8b4d2490f7e79full},
     {4, 0xdf1f7127e2aa58d5ull, 0x9d0a53cb4172f43bull, 0x656216d406bf872cull,
-     0xa1d6d85f291c57ebull, 0x44f43a245dc37741ull, {0, 1, 2, 3},
-     0x25f63bd054df4d81ull, 0x7f4d2986d1496ac5ull},
+     0x0ee5d2149e201be3ull, 0x44f43a245dc37741ull, {0, 1, 2, 3},
+     0x25f63bd054df4d81ull, 0xe56ef1e996e84e25ull},
     {8, 0x45308975c0af3250ull, 0x2b1559f4a827a4e3ull, 0xb9375faa1f151484ull,
-     0x1923d2e8ddf41983ull, 0x8fe13444f1ddec93ull, {1, 2, 3, 4},
-     0x4b9461bcd9b08369ull, 0x18bd6624901c8be9ull},
+     0x72a3dd3c19044603ull, 0x8fe13444f1ddec93ull, {1, 2, 3, 4},
+     0x4b9461bcd9b08369ull, 0x5e5b16dcdaf16579ull},
 };
 
 class TransportConformance

@@ -181,11 +181,15 @@ TEST(Distributed, Float16RunsWithScalingAndFtz) {
 TEST(Distributed, SlabIndexingAndHalos) {
   slab<double> s(4, 3);
   s.fill(0.0);
-  s(1, -1) = -1.0;  // halo below
-  s(2, 3) = 3.0;    // halo above
+  s(1, -2) = -2.0;  // halo below, two rows deep
+  s(1, -1) = -1.0;
+  s(2, 3) = 3.0;    // halo above, two rows deep
+  s(2, 4) = 4.0;
   s(0, 0) = 5.0;
+  EXPECT_EQ(s(1, -2), -2.0);
   EXPECT_EQ(s(1, -1), -1.0);
   EXPECT_EQ(s(2, 3), 3.0);
+  EXPECT_EQ(s(2, 4), 4.0);
   EXPECT_EQ(s.interior()[0], 5.0);
   EXPECT_EQ(s.interior().size(), 12u);
   EXPECT_EQ(s.row(0).size(), 4u);
@@ -197,16 +201,16 @@ TEST(Distributed, HaloExchangeMovesNeighbourRows) {
   mpisim::world w(3);
   w.run([](mpisim::communicator& comm) {
     const int r = comm.rank();
-    slab<double> s(2, 2);
+    slab_state<double> s(2, 2);
     s.fill(static_cast<double>(r));
     halo_exchanger<double> halo(comm, 2);
-    halo.start(halo_exchanger<double>::phase::prognostic, {&s});
+    halo.start(s);
     halo.finish();
     const int up = (r + 1) % 3;
     const int down = (r - 1 + 3) % 3;
-    EXPECT_EQ(s(0, -1), static_cast<double>(down));
-    EXPECT_EQ(s(0, 2), static_cast<double>(up));
-    EXPECT_EQ(s(0, 0), static_cast<double>(r));  // interior untouched
+    EXPECT_EQ(s.u(0, -1), static_cast<double>(down));
+    EXPECT_EQ(s.u(0, 2), static_cast<double>(up));
+    EXPECT_EQ(s.u(0, 0), static_cast<double>(r));  // interior untouched
   });
 }
 
