@@ -172,8 +172,8 @@ halo_cost predict_halo(const mpisim::tofud_params& net,
   if (ranks <= 1) return out;
 
   // Flow census: how many (rank, direction) halo flows cross each
-  // directed link. Every rank sends up and down each phase; the census
-  // is placement geometry only, so one pass covers all phases.
+  // directed link. Every rank sends up and down each exchange; the
+  // census is placement geometry only, so one pass covers them all.
   std::vector<std::uint32_t> flows(
       static_cast<std::size_t>(place.link_count()), 0);
   for (int s = 0; s < ranks; ++s) {
