@@ -281,10 +281,9 @@ class distributed_model {
   }
 
   /// The evaluator's five passes on the slab, around one exchange.
-  /// Passes 1-2 (vorticity/KE, Laplacians) run over rows -1..n, so the
-  /// derived rows that passes 3-5 read at j±1 are computed here rather
-  /// than received: the same expressions on bit-identical inputs as on
-  /// the neighbour. While the payloads fly, passes 1-2 run on rows
+  /// Passes 1-2 (vorticity/KE, Laplacians) run over rows -1..n, so
+  /// every derived row that passes 3-5 read at j±1 is this rank's own:
+  /// the same expressions on bit-identical inputs as on the neighbour. While the payloads fly, passes 1-2 run on rows
   /// 1..n-2 and passes 3-5 on rows 2..n-3, which read no halo and no
   /// derived halo row; the rest runs after finish(). Per-point
   /// arithmetic and inputs are unchanged, so the reordering is

@@ -68,7 +68,6 @@ class halo_exchanger {
   static_assert(std::ranges::max(halo_layout) <= slab<T>::halo);
 
  public:
-  halo_exchanger() = default;
   halo_exchanger(mpisim::communicator& comm, int nx)
       : comm_(&comm), nx_(nx) {
     TFX_EXPECTS(nx > 0);
