@@ -135,12 +135,20 @@ slab_state<double> labelled_state(int rank) {
 }
 
 /// The 2 + 2 + 1 layout: u and v get two halo rows on each side, eta
-/// one. `below` and `above` are the ranks whose rows should arrive.
-void expect_layout(const slab_state<double>& st, int below, int above) {
+/// one, and every field's own rows are left alone. `rank` owns `st`;
+/// `below` and `above` are the ranks whose rows should arrive.
+void expect_layout(const slab_state<double>& st, int rank, int below,
+                   int above) {
   const slab<double>* fields[] = {&st.u, &st.v, &st.eta};
   for (int f = 0; f < 3; ++f) {
     const auto& s = *fields[f];
     const double base = 100.0 * f;
+    for (int j = 0; j < 3; ++j) {
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(s(i, j), base + 10.0 * rank + j)
+            << "own row " << j << " of field " << f;
+      }
+    }
     // The lower halo mirrors the top rows (j = 1, 2) of the rank
     // below, the upper halo the bottom rows (j = 0, 1) of the rank
     // above.
@@ -165,8 +173,7 @@ TEST(HaloEngine, PackedExchangeMovesNeighbourRows) {
     EXPECT_TRUE(ex.in_flight());
     ex.finish();
     EXPECT_FALSE(ex.in_flight());
-    expect_layout(st, (r - 1 + p) % p, (r + 1) % p);
-    EXPECT_EQ(st.u(1, 0), 10.0 * r);  // own rows untouched
+    expect_layout(st, r, (r - 1 + p) % p, (r + 1) % p);
     EXPECT_EQ(ex.messages_sent(), 2u);
     EXPECT_EQ(ex.bytes_sent(), 2u * 5u * 4u * sizeof(double));
   });
@@ -179,7 +186,7 @@ TEST(HaloEngine, SingleRankWrapsPeriodically) {
     halo_exchanger<double> ex(comm, 4);
     ex.start(st);
     ex.finish();
-    expect_layout(st, 0, 0);  // the wrap: two rows of u and v, one of eta
+    expect_layout(st, 0, 0, 0);  // the wrap: two rows of u and v, one of eta
     EXPECT_EQ(ex.messages_sent(), 0u);  // the wrap is local
   });
 }
