@@ -14,8 +14,10 @@
 //             small grids, where alpha dominates the wire time.
 //   vstep_s - virtual time per step with each rank charging its slab's
 //             modeled A64FX Float64 compute (predict_step / 4 per RHS
-//             evaluation). Only here can overlap show up: the interior
-//             share of each evaluation runs while the payloads fly.
+//             evaluation of its own rows, plus the same per-row rate
+//             for the halo rows passes 1-2 recompute). Only here can
+//             overlap show up: the interior share of each evaluation
+//             runs while the payloads fly.
 //
 // The per-field and the non-overlapped aggregated engines this
 // ablation was measured against are gone from the model. Their rows,
@@ -94,7 +96,8 @@ double per_field_halo_s(int nx, int ranks) {
 }
 
 /// Max virtual clock per step of a `steps`-step run, charging
-/// `rhs_seconds` of modeled compute per RHS evaluation.
+/// `rhs_seconds` of modeled compute per RHS evaluation of the slab's
+/// own rows (set_modeled_rhs_seconds).
 double vtime_per_step(int nx, int ny, int ranks, double rhs_seconds,
                       int steps) {
   swm_params p;

@@ -89,8 +89,9 @@ class distributed_model {
   [[nodiscard]] int global_j0() const { return j0_; }
   [[nodiscard]] const swm_params& params() const { return params_; }
 
-  /// Charge `seconds` of modeled compute per RHS evaluation onto the
-  /// rank's virtual clock, split around the exchange by
+  /// Charge modeled compute per RHS evaluation onto the rank's virtual
+  /// clock: `seconds` for the slab's own rows, plus the same rate for
+  /// the recomputed halo rows, split around the exchange by
   /// split_rhs_compute. 0 (the default) keeps the step loop's virtual
   /// time comm-only. With a charge set, the interior share is paid
   /// while the halo payloads are in flight - which is what makes

@@ -8,12 +8,14 @@ rhs_compute_split split_rhs_compute(double seconds_per_eval, int local_ny) {
   // Both terms are pure functions of (s, local_ny) evaluated only
   // here, so the threaded model and the DES program charge
   // bit-identical doubles (EXPECT_DOUBLE_EQ in the cross-pin test).
+  // `s` prices the five passes over the slab's own rows; the two halo
+  // rows each of passes 1-2 recompute cost the same per pass-row.
   const int n = local_ny;
+  const double per_pass_row = seconds_per_eval / (5.0 * n);
   const int interior_rows = 2 * (n - 2) + 3 * std::max(0, n - 4);
   const int pass_rows = 2 * (n + 2) + 3 * n;
-  out.interior = seconds_per_eval * static_cast<double>(interior_rows) /
-                 static_cast<double>(pass_rows);
-  out.boundary = seconds_per_eval - out.interior;
+  out.interior = per_pass_row * static_cast<double>(interior_rows);
+  out.boundary = per_pass_row * static_cast<double>(pass_rows - interior_rows);
   return out;
 }
 

@@ -190,14 +190,17 @@ class halo_exchanger {
 };
 
 /// Deterministic split of one RHS evaluation's modeled compute around
-/// the exchange, by pass-rows: the vorticity/KE and Laplacian passes
-/// run on local_ny + 2 rows, the three tendency passes on local_ny.
-/// The interior share is the pass-rows that read no halo (passes 1-2
-/// on rows 1..local_ny-2, passes 3-5 on rows 2..local_ny-3), charged
-/// while the messages fly; the boundary share is charged after
-/// finish(). A 2-row slab has no interior share. Shared by
-/// distributed_model and make_halo_program so the DES cross-pin
-/// compares bit-identical doubles.
+/// the exchange, by pass-rows. `seconds_per_eval` prices the serial
+/// evaluation of the slab's own rows, 5 * local_ny pass-rows; every
+/// pass-row costs the same. The vorticity/KE and Laplacian passes run
+/// on local_ny + 2 rows, so an evaluation charges
+/// seconds_per_eval * (5 * local_ny + 4) / (5 * local_ny): the
+/// recomputed halo rows are paid for. The interior share is the
+/// pass-rows that read no halo (passes 1-2 on rows 1..local_ny-2,
+/// passes 3-5 on rows 2..local_ny-3), charged while the messages fly;
+/// the boundary share is charged after finish(). A 2-row slab has no
+/// interior share. Shared by distributed_model and make_halo_program
+/// so the DES cross-pin compares bit-identical doubles.
 struct rhs_compute_split {
   double interior = 0;
   double boundary = 0;

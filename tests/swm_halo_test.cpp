@@ -361,21 +361,48 @@ INSTANTIATE_TEST_SUITE_P(Modes, HaloDes,
                          ::testing::Combine(::testing::Values(2, 4, 8),
                                             ::testing::Values(0, 1, 2)));
 
+namespace {
+
+/// make_halo_program's traffic and charges with nothing overlapped:
+/// each stage pays both compute shares after its receives.
+mpisim::sim_program serialized_halo_program(int p, int nx, int steps,
+                                            const rhs_compute_split& cs) {
+  const std::size_t packed = static_cast<std::size_t>(halo_message_rows) *
+                             static_cast<std::size_t>(nx) * sizeof(double);
+  mpisim::sim_program prog(p);
+  for (int r = 0; r < p; ++r) {
+    auto& ops = prog.rank(r);
+    const int up = (r + 1) % p;
+    const int down = (r - 1 + p) % p;
+    for (int stage = 0; stage < 4 * steps; ++stage) {
+      ops.push_back(mpisim::sim_op::send_to(up, packed));
+      ops.push_back(mpisim::sim_op::send_to(down, packed));
+      ops.push_back(mpisim::sim_op::recv_from(down, packed));
+      ops.push_back(mpisim::sim_op::recv_from(up, packed));
+      ops.push_back(mpisim::sim_op::compute_for(cs.interior));
+      ops.push_back(mpisim::sim_op::compute_for(cs.boundary));
+    }
+  }
+  return prog;
+}
+
+}  // namespace
+
 TEST(HaloTime, OverlapHidesComputeInVirtualTime) {
   // With a real compute charge, the step loop finishes earlier than
   // the same traffic and compute with nothing overlapped: the interior
-  // share of each charge runs while the payloads are in flight. The
-  // DES twin of a 2-row slab, which has no interior rows, charges all
-  // of it after finish() - the no-overlap schedule.
+  // share of each charge runs while the payloads are in flight.
   const swm_params params = small_params();
   const int p = 4;
   const int steps = 5;
   const double rhs_seconds = 20e-6;
   const auto overlap = threaded_clocks(params, p, steps, rhs_seconds);
+  const rhs_compute_split cs = split_rhs_compute(rhs_seconds, params.ny / p);
+  ASSERT_GT(cs.interior, 0.0) << "nothing to overlap";
   mpisim::world w(p);  // only for net()/placement()
   const auto serialized = mpisim::simulate(
-      make_halo_program(p, params.nx, sizeof(double), steps, rhs_seconds, 2),
-      w.net(), w.placement());
+      serialized_halo_program(p, params.nx, steps, cs), w.net(),
+      w.placement());
   // The two schedules split the same charges differently, so their
   // clocks may differ by rounding alone; overlap must win by more.
   for (std::size_t r = 0; r < overlap.size(); ++r) {
