@@ -6,8 +6,9 @@
 // with the number of injected crashes and reports the virtual-clock
 // inflation against the unprotected step loop, plus the
 // replay/commit/round counters. Crashes are aimed by commit window
-// (mid_window_send over a silent probe run's commit marks): rank 1
-// halfway through the first window, rank 0 halfway through the last.
+// (mid_window_send over a probe run's commit marks): rank 1 halfway
+// through the first window of the crash-free run, then rank 0 halfway
+// through the last window of the run that carries rank 1's crash.
 // Every recovered run is checked bit-identical to the fault-free
 // oracle, and every scheduled crash must have fired, before its row
 // is printed - a row in the table doubles as a correctness witness.
@@ -99,8 +100,8 @@ run_out plain_run(const swm_params& params, int steps) {
 
 /// Resilient run under `crashes`. The fault plane is always active (a
 /// sentinel event no rank ever reaches), so a run without crashes
-/// isolates pure checkpoint overhead - and is the silent probe whose
-/// commit marks aim the crashes of the other runs.
+/// isolates pure checkpoint overhead. Each run's commit marks aim the
+/// next crash of the schedule (next_crash).
 run_out resilient_run(const swm_params& params, int steps, int interval,
                       const std::vector<mpisim::crash_event>& crashes,
                       std::uint64_t seed) {
@@ -136,17 +137,15 @@ run_out resilient_run(const swm_params& params, int steps, int interval,
   return out;
 }
 
-/// The first `crashes` of: rank 1 halfway through the probe's first
-/// commit window, rank 0 halfway through its last full one.
-std::vector<mpisim::crash_event> crash_schedule(const run_out& probe,
-                                                int crashes) {
-  const std::size_t windows = probe.reports[0].commit_marks.size() - 1;
-  std::vector<mpisim::crash_event> out;
-  if (crashes >= 1) out.push_back({1, mid_window_send(probe.reports[1], 0)});
-  if (crashes >= 2) {
-    out.push_back({0, mid_window_send(probe.reports[0], windows - 1)});
-  }
-  return out;
+/// Crash `n` (0-based) of the schedule, aimed over `probe`, the run
+/// that carries crashes 0..n-1: the recovery round and the replay of
+/// an earlier crash move every later send. Crash 0 is rank 1 halfway
+/// through the first commit window, crash 1 rank 0 halfway through the
+/// last full one.
+mpisim::crash_event next_crash(const run_out& probe, int n) {
+  if (n == 0) return {1, mid_window_send(probe.reports[1], 0)};
+  const recovery_report& rank0 = probe.reports[0];
+  return {0, mid_window_send(rank0, rank0.commit_marks.size() - 2)};
 }
 
 /// The ranks that died, in order, separated by `sep`.
@@ -223,7 +222,7 @@ int main(int argc, char** argv) {
   const run_out oracle = plain_run(params, steps);
 
   const int intervals[] = {2, 5, 10};
-  const int crash_counts[] = {0, 1, 2};
+  const int max_crashes = 2;
 
   std::vector<row> rows;
   table t({"K", "crashes", "fired", "clock", "overhead", "replayed",
@@ -234,12 +233,13 @@ int main(int argc, char** argv) {
                    "windows to aim crashes at\n", steps, interval);
       return 1;
     }
-    const run_out probe = resilient_run(params, steps, interval, {}, seed);
-    for (const int crashes : crash_counts) {
-      const run_out got =
-          crashes == 0 ? probe
-                       : resilient_run(params, steps, interval,
-                                       crash_schedule(probe, crashes), seed);
+    std::vector<mpisim::crash_event> schedule;
+    run_out got = resilient_run(params, steps, interval, schedule, seed);
+    for (int crashes = 0; crashes <= max_crashes; ++crashes) {
+      if (crashes > 0) {
+        schedule.push_back(next_crash(got, crashes - 1));
+        got = resilient_run(params, steps, interval, schedule, seed);
+      }
       row r;
       r.interval = interval;
       r.crashes = crashes;

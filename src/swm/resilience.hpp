@@ -110,9 +110,11 @@ struct recovery_report {
 };
 
 /// The send index halfway through commit window `window` (the steps
-/// between commits `window` and `window + 1`) of a silent probe run's
-/// report. A crash scheduled there lands in the same window under any
-/// message schedule; a raw send index drifts whenever a step's message
+/// between commits `window` and `window + 1`) of a probe run's report.
+/// The probe must carry every crash that fires before this one (a
+/// silent probe for a first crash): it then posts the real run's sends
+/// up to the aimed index, so the crash lands in that window under any
+/// message schedule. A raw send index drifts whenever a step's message
 /// count changes.
 [[nodiscard]] inline std::uint64_t mid_window_send(
     const recovery_report& probe, std::size_t window) {

@@ -160,11 +160,18 @@ std::vector<rank_result> silent_probe(const swm_params& params, int p,
 }
 
 /// A crash of `rank` halfway through commit window `window` of the
-/// probe run: the same window under any message schedule.
+/// probe run: the same window under any message schedule, as long as
+/// the probe carries every crash that fires before this one.
 mpisim::crash_event crash_mid_window(const std::vector<rank_result>& probe,
                                      int rank, std::size_t window) {
   return {rank, mid_window_send(
                     probe[static_cast<std::size_t>(rank)].report, window)};
+}
+
+/// The last full commit window of `rank` in `run`: the one its final
+/// commit closes.
+std::size_t last_window(const std::vector<rank_result>& run, int rank) {
+  return run[static_cast<std::size_t>(rank)].report.commit_marks.size() - 2;
 }
 
 }  // namespace
@@ -193,15 +200,21 @@ TEST_P(RecoveryMatrix, RecoversBitIdenticalToFaultFreeOracle) {
   mpisim::fault_config cfg;
   cfg.seed = 40 + static_cast<std::uint64_t>(schedule);
   int promised_rounds = 1;
+  // Schedule 1's second crash is aimed from a probe that carries the
+  // first: the recovery round and the replay move every later send.
+  std::vector<rank_result> after_first;
   switch (schedule) {
     case 0:  // one mid-run crash
       cfg.crashes.push_back(crash_mid_window(probe, 1, windows / 2));
       break;
-    case 1:  // two crashes, far enough apart for two separate rounds
+    case 1: {  // two crashes, far enough apart for two separate rounds
       cfg.crashes.push_back(crash_mid_window(probe, 1, 0));
-      cfg.crashes.push_back(crash_mid_window(probe, 0, windows - 1));
+      after_first = resilient_run(params, p, steps, cfg, opt);
+      cfg.crashes.push_back(
+          crash_mid_window(after_first, 0, last_window(after_first, 0)));
       promised_rounds = 2;
       break;
+    }
     case 2:  // a crash in a storm of recoverable chaos
       cfg.crashes.push_back(crash_mid_window(probe, 1, windows / 2));
       cfg.probs.drop = 0.02;
@@ -225,6 +238,18 @@ TEST_P(RecoveryMatrix, RecoversBitIdenticalToFaultFreeOracle) {
   for (const auto& r : got) {
     EXPECT_FALSE(r.report.casualties.empty());
     EXPECT_GT(r.report.replayed_steps + r.report.rounds, 0);
+  }
+  if (schedule == 1) {
+    // Rank 0 died in the last window: it entered the commit that opens
+    // the window at the probe's send count, and its next commit is the
+    // recovery round's, after the crash.
+    const auto& marks = got[0].report.commit_marks;
+    const auto& aimed = after_first[0].report.commit_marks;
+    const std::size_t w = last_window(after_first, 0);
+    ASSERT_GT(marks.size(), w + 1);
+    EXPECT_EQ(marks[w], aimed[w]);
+    EXPECT_LT(marks[w], cfg.crashes[1].send_index);
+    EXPECT_GT(marks[w + 1], cfg.crashes[1].send_index);
   }
 }
 
