@@ -192,8 +192,9 @@ TEST_P(RecoveryMatrix, RecoversBitIdenticalToFaultFreeOracle) {
   resilience_options opt;
   opt.checkpoint_interval = k;
 
-  // Crashes are aimed at commit windows of a silent probe run, so each
-  // schedule keeps its meaning whatever a step sends.
+  // Crashes are aimed at commit windows of a probe run (silent for a
+  // first crash), so each schedule keeps its meaning whatever a step
+  // sends.
   const auto probe = silent_probe(params, p, steps, opt);
   const std::size_t windows = probe[0].report.commit_marks.size() - 1;
 
