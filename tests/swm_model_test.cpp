@@ -475,6 +475,85 @@ INSTANTIATE_TEST_SUITE_P(
       return case_name(tp.param);
     });
 
+// ---------------------------------------------------------------------------
+// Golden seeded states. SwmGolden seeds only ny = 8 grids; these hash
+// the prognostic state seed_random_eddies leaves behind, before any
+// step, at the grid sizes the benchmark and the ensemble members use:
+// an odd 17x5 grid, the Float16 ensemble member (32x16, s = 2^8), and
+// Float64 from 64x32 up to the 512x256 serial benchmark grid.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct seed_case {
+  bool float16;  ///< model<float16> at log2_scale 8, else model<double>
+  boundary bc;
+  int nx;
+  int ny;
+  std::uint64_t hash;  ///< u, v, eta values after seeding
+};
+
+std::string seed_case_name(const seed_case& c) {
+  return std::string(c.float16 ? "Float16" : "Float64") +
+         (c.bc == boundary::channel ? "_channel_" : "_periodic_") +
+         std::to_string(c.nx) + "x" + std::to_string(c.ny);
+}
+
+void PrintTo(const seed_case& c, std::ostream* os) {
+  *os << seed_case_name(c);
+}
+
+template <typename T>
+std::uint64_t seeded_hash(const swm_params& p) {
+  model<T> m(p);
+  m.seed_random_eddies(7, 0.5);
+  tfx::test::fnv1a h;
+  hash_fields(h, m.prognostic());
+  return h.h;
+}
+
+// Recorded from the seeding loop that called sin() once per grid
+// point and mode.
+constexpr seed_case seed_cases[] = {
+    {false, periodic, 17, 5, 0xe78749cc955c761full},
+    {false, channel, 17, 5, 0x2c3f3928bb9d5bbdull},
+    {true, periodic, 32, 16, 0x7c9ad2021e364f01ull},
+    {true, channel, 32, 16, 0x658e590bb06f011dull},
+    {false, periodic, 64, 32, 0xf0ad3200bc234667ull},
+    {false, channel, 64, 32, 0x6c9564563e933ae6ull},
+    {false, periodic, 128, 64, 0x21f9498b2104b292ull},
+    {false, channel, 128, 64, 0x3ca92404a8dd4f1bull},
+    {false, periodic, 512, 256, 0xbeacbfa2978c4c6aull},
+    {false, channel, 512, 256, 0x751596d52c72d936ull},
+};
+
+}  // namespace
+
+class SeedGolden : public ::testing::TestWithParam<seed_case> {};
+
+TEST_P(SeedGolden, SeededStateMatchesRecordedHash) {
+  const seed_case& c = GetParam();
+  swm_params p;
+  p.nx = c.nx;
+  p.ny = c.ny;
+  p.Lx = p.Ly * c.nx / c.ny;  // square cells (dx == dy)
+  p.bc = c.bc;
+  std::uint64_t got = 0;
+  if (c.float16) {
+    p.log2_scale = 8;
+    got = seeded_hash<float16>(p);
+  } else {
+    got = seeded_hash<double>(p);
+  }
+  EXPECT_EQ(got, c.hash) << "seeded state 0x" << std::hex << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, SeedGolden, ::testing::ValuesIn(seed_cases),
+    [](const ::testing::TestParamInfo<seed_case>& tp) {
+      return seed_case_name(tp.param);
+    });
+
 TEST(Diagnostics, VorticityOfShearFlow) {
   // u = U0 sin(2 pi j / ny): zeta = -du/dy, checked against the
   // discrete derivative of the analytic profile.
