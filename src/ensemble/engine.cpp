@@ -10,15 +10,18 @@
 ///                         over the thread pool, tenant obs plane
 ///
 /// Concurrency shape. All client-facing state (job table, groups map,
-/// admission gauges) lives under one mutex. Stepping happens in
-/// *rounds*: between regions the driving thread — alone, under the
-/// mutex — compacts finished members, splices admissions and builds a
-/// claim list of (group, member-range) tiles; during the region,
-/// workers grab claims off an atomic cursor and step disjoint member
-/// ranges with no shared mutable state (per-worker scratch for the
-/// batch items and the tenant tallies). Determinism needs no more
-/// than that: members never read each other, so claim interleaving
-/// cannot reach the arithmetic.
+/// admission gauges) lives under one mutex. submit() takes it twice:
+/// once to decide admission and reserve a slot, once to publish the
+/// member, which it builds in between on the calling thread without
+/// the mutex, so rounds run while a batch is still being submitted.
+/// Stepping happens in *rounds*: between regions the driving thread —
+/// alone, under the mutex — compacts finished members, splices
+/// admissions and builds a claim list of (group, member-range) runs
+/// of at most a tile; during the region, workers grab claims off an
+/// atomic cursor and step disjoint member ranges with no shared
+/// mutable state (per-worker scratch for the batch items and the
+/// tenant tallies). Determinism needs no more than that: members never
+/// read each other, so claim interleaving cannot reach the arithmetic.
 ///
 /// Member repair rides the same shape. In-group repairs (retry,
 /// rescale) happen inside the worker's claim: the worker owns the
@@ -132,14 +135,30 @@ struct promotion {
   std::ptrdiff_t bad_index = -1;
 };
 
+/// A member built by group_base::build and not yet handed to its
+/// group's pending list by group_base::publish.
+struct built_member {
+  built_member() = default;
+  built_member(const built_member&) = delete;
+  built_member& operator=(const built_member&) = delete;
+  virtual ~built_member() = default;
+};
+
 class group_base {
  public:
   virtual ~group_base() = default;
 
-  /// Build + initialize a member for `job` (model construction,
-  /// seeding/restore, perturbation — under the member's ftz mode) and
-  /// queue it for the next round. Caller holds the engine mutex.
-  virtual void admit(job_record* job) = 0;
+  /// Build + initialize a member for `job`: model construction, restore
+  /// from `initial` (or the seed recipe when it is null), perturbation
+  /// and the autopilot's initial image, all under the group's ftz mode.
+  /// Reads only settings fixed at the group's construction, so submit()
+  /// runs it without the engine mutex.
+  [[nodiscard]] virtual std::unique_ptr<built_member> build(
+      job_record* job, const swm::state<double>* initial) const = 0;
+
+  /// Queue a member from build() for the next round. Caller holds the
+  /// engine mutex.
+  virtual void publish(std::unique_ptr<built_member> m) = 0;
 
   /// Between-rounds maintenance under the engine mutex: compact
   /// finished members out, splice admissions in, size the per-worker
@@ -177,7 +196,8 @@ class group_impl final : public group_base {
         batched_(batched_apply),
         items_(static_cast<std::size_t>(workers)) {}
 
-  void admit(job_record* job) override {
+  std::unique_ptr<built_member> build(
+      job_record* job, const swm::state<double>* initial) const override {
     const member_config& cfg = job->cfg;
     // Initialization runs under the member's ftz mode, exactly like a
     // standalone run constructed inside an ftz_guard (the oracle).
@@ -185,8 +205,8 @@ class group_impl final : public group_base {
     auto m = std::make_unique<member>(job, params_for(cfg, cfg.log2_scale),
                                       scheme_);
     if (cfg.health_every > 0) m->model->set_health_interval(cfg.health_every);
-    if (cfg.initial != nullptr) {
-      m->model->restore(swm::convert_state<Tprog>(*cfg.initial),
+    if (initial != nullptr) {
+      m->model->restore(swm::convert_state<Tprog>(*initial),
                         cfg.initial_steps);
     } else {
       m->model->seed_random_eddies(cfg.seed, cfg.velocity_amplitude);
@@ -196,7 +216,7 @@ class group_impl final : public group_base {
       m->pilot = std::make_unique<swm::autopilot>(
           cfg.autopilot, format_range_of(cfg.prec),
           params_for(cfg, cfg.log2_scale));
-      if (cfg.initial != nullptr) {
+      if (initial != nullptr) {
         // Restored members cannot re-run a seed recipe on rollback to
         // start; keep their post-init image (unscaled, so it survives
         // scale changes) as the step-`initial_steps` restart point.
@@ -204,7 +224,11 @@ class group_impl final : public group_base {
             std::make_unique<swm::state<double>>(m->model->unscaled());
       }
     }
-    pending_.push_back(std::move(m));
+    return m;
+  }
+
+  void publish(std::unique_ptr<built_member> m) override {
+    pending_.emplace_back(static_cast<member*>(m.release()));
   }
 
   void admit_promoted(promotion&& pr) override {
@@ -260,7 +284,7 @@ class group_impl final : public group_base {
   }
 
  private:
-  struct member {
+  struct member final : built_member {
     job_record* job;
     /// optional<> so repair can rebuild the model in place: model pins
     /// a self-pointer in its region context, so it cannot be assigned,
@@ -422,7 +446,7 @@ class group_impl final : public group_base {
   /// The bench/ensemble_error IC perturbation: ONE stream across
   /// u, v, eta — identical re-run on rollback-to-start, so a repaired
   /// member restarts from the exact admitted state.
-  void perturb(member& m) {
+  static void perturb(member& m) {
     const member_config& cfg = m.job->cfg;
     xoshiro256 rng(cfg.perturb_seed);
     auto& st = m.model->prognostic();
@@ -759,11 +783,14 @@ struct engine::impl {
   std::map<group_key, std::unique_ptr<group_base>> groups;       // mu
   job_id next_id = 1;                                            // mu
   std::size_t active = 0;   ///< members queued+running (mu)
+  /// Submits admitted but still building their member (mu). They hold
+  /// a member slot and their backlog, but are not active: the
+  /// scheduler has nothing of theirs to step yet.
+  std::size_t reserved = 0;
   double backlog = 0;       ///< modeled seconds admitted (mu)
 
-  /// One claimable unit of a round: a tile of one group. Distinct
-  /// claims never share members, so a uniform ensemble (one big
-  /// group) still spreads across every worker.
+  /// One claimable unit of a round: a run of one group's members, at
+  /// most a tile. Distinct claims never share members.
   struct claim {
     group_base* group = nullptr;
     std::size_t begin = 0;
@@ -885,18 +912,26 @@ struct engine::impl {
   }
 
   /// One scheduling round: compact + splice every group, carve the
-  /// members into tile claims, fan the claims out over the pool,
-  /// account the results. Returns false (and does nothing) when no
-  /// member is active.
+  /// members into claims, fan the claims out over the pool, account
+  /// the results. Returns false (and does nothing) when no member is
+  /// active.
+  ///
+  /// A claim holds at most a tile, and at most ceil(n / workers) of a
+  /// group's n members: a group smaller than workers x tile is cut
+  /// into one claim per worker instead of sitting in one claim on one
+  /// worker while the others idle.
   bool run_round() {
     {
       std::lock_guard lock(mu);
       round.clear();
+      const auto workers = static_cast<std::size_t>(pool.size());
       for (auto& [key, g] : groups) {
         const std::size_t n = g->prepare_round();
-        const std::size_t tile = g->tile();
-        for (std::size_t lo = 0; lo < n; lo += tile) {
-          round.push_back({g.get(), lo, std::min(lo + tile, n)});
+        if (n == 0) continue;
+        const std::size_t len =
+            std::min(g->tile(), (n + workers - 1) / workers);
+        for (std::size_t lo = 0; lo < n; lo += len) {
+          round.push_back({g.get(), lo, std::min(lo + len, n)});
         }
       }
     }
@@ -944,10 +979,7 @@ struct engine::impl {
                 });
       promotes = promos.size();
       for (auto& pr : promos) promote_member(std::move(pr));
-      // The gauge is a float sum updated in admission order and
-      // drained in completion order; pin it to exactly zero at idle
-      // so rounding residue never leaks into admission decisions.
-      if (backlog < 0 || active == 0) backlog = 0;
+      pin_idle_backlog();
     }
     const int nt = tenant_count.load(std::memory_order_acquire);
     for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t) {
@@ -1026,62 +1058,110 @@ struct engine::impl {
     return nullptr;
   }
 
+  /// The gauge is a float sum updated in admission order and drained
+  /// in completion order; pin it to exactly zero at idle so rounding
+  /// residue never leaks into admission decisions. Caller holds mu.
+  void pin_idle_backlog() {
+    if (backlog < 0 || (active == 0 && reserved == 0)) backlog = 0;
+  }
+
+  /// Give back a reservation that will never be published. Caller
+  /// holds mu.
+  void release_reservation(double cost) {
+    reserved -= 1;
+    backlog -= cost;
+    pin_idle_backlog();
+  }
+
+  static bool valid(const member_config& cfg) {
+    // The member runs at s = 2^k and is read back through 2^-k; both
+    // must be normal doubles, so |k| <= 1022.
+    constexpr int max_log2_scale =
+        1 - std::numeric_limits<double>::min_exponent;
+    const bool scale_ok = cfg.log2_scale >= -max_log2_scale &&
+                          cfg.log2_scale <= max_log2_scale;
+    return cfg.nx > 0 && cfg.ny > 0 && cfg.steps > 0 &&
+           cfg.record_every >= 0 && std::isfinite(cfg.velocity_amplitude) &&
+           std::isfinite(cfg.perturb_amplitude) &&
+           cfg.perturb_amplitude >= 0 && scale_ok &&
+           cfg.autopilot.check_every >= 0 &&
+           (cfg.autopilot.check_every == 0 ||
+            cfg.autopilot.stripe_rows > 0) &&
+           (cfg.initial == nullptr ||
+            (cfg.initial->nx() == cfg.nx && cfg.initial->ny() == cfg.ny));
+  }
+
+  /// Admission in three steps, so the member build (the model's
+  /// allocation and its seeding or restore) runs without the mutex:
+  /// reserve (the admission decision) under mu, build outside it,
+  /// publish (id, job table, group splice) under mu again.
   submit_ticket admit(const member_config& cfg, tenant_id tenant) {
-    if (cfg.nx <= 0 || cfg.ny <= 0 || cfg.steps <= 0 ||
-        cfg.record_every < 0 || cfg.perturb_amplitude < 0 ||
-        cfg.autopilot.check_every < 0 ||
-        (cfg.autopilot.check_every > 0 && cfg.autopilot.stripe_rows <= 0) ||
-        (cfg.initial != nullptr &&
-         (cfg.initial->nx() != cfg.nx || cfg.initial->ny() != cfg.ny))) {
-      return {invalid_job, submit_error::invalid_config};
-    }
+    if (!valid(cfg)) return {invalid_job, submit_error::invalid_config};
     const double cost = swm::predict_time(opts.machine, cfg.nx, cfg.ny,
                                           precision_of(cfg.prec), cfg.steps);
 
+    group_base* group = nullptr;
+    int retry_budget = 0;
+    {
+      std::lock_guard lock(mu);
+      if (stop.load(std::memory_order_relaxed)) {
+        return {invalid_job, submit_error::shutdown};
+      }
+      if (tenant >= tenant_count.load(std::memory_order_relaxed)) {
+        return {invalid_job, submit_error::invalid_config};
+      }
+      if (active + reserved >= opts.max_members) {
+        return {invalid_job, submit_error::queue_full};
+      }
+      if (backlog + cost > opts.max_backlog_seconds) {
+        return {invalid_job, submit_error::backlog_exceeded};
+      }
+      // Groups are never erased, so the pointer outlives the build.
+      auto& g = groups[key_of(cfg)];
+      if (!g) g = make_group(cfg);
+      group = g.get();
+      retry_budget = tenants[tenant].retry_budget;
+      reserved += 1;
+      backlog += cost;
+    }
+
+    std::unique_ptr<job_record> job;
+    std::unique_ptr<built_member> member;
+    try {
+      job = std::make_unique<job_record>();
+      job->tenant = tenant;
+      job->retry_budget = retry_budget;
+      job->cfg = cfg;
+      job->cfg.initial = nullptr;  // copied into the member by build()
+      job->result.modeled_seconds = cost;
+      job->result.prognostic = swm::state<double>(cfg.nx, cfg.ny);
+      job->result.compensation = swm::state<double>(cfg.nx, cfg.ny);
+      if (cfg.record_every > 0) {
+        const auto snaps =
+            static_cast<std::size_t>(cfg.steps / cfg.record_every);
+        job->result.snapshots.reserve(snaps);
+        for (std::size_t s = 0; s < snaps; ++s) {
+          job->result.snapshots.emplace_back(cfg.nx, cfg.ny);
+        }
+      }
+      member = group->build(job.get(), cfg.initial);
+    } catch (...) {
+      std::lock_guard lock(mu);
+      release_reservation(cost);
+      throw;
+    }
+
     std::lock_guard lock(mu);
     if (stop.load(std::memory_order_relaxed)) {
+      release_reservation(cost);
       return {invalid_job, submit_error::shutdown};
     }
-    if (tenant >= tenant_count.load(std::memory_order_relaxed)) {
-      return {invalid_job, submit_error::invalid_config};
-    }
-    if (active >= opts.max_members) {
-      return {invalid_job, submit_error::queue_full};
-    }
-    if (backlog + cost > opts.max_backlog_seconds) {
-      return {invalid_job, submit_error::backlog_exceeded};
-    }
-
-    auto& group = groups[key_of(cfg)];
-    if (!group) group = make_group(cfg);
-
-    auto job = std::make_unique<job_record>();
-    job->id = next_id++;
-    job->tenant = tenant;
-    job->cfg = cfg;
-    job->cfg.initial = nullptr;  // copied into the member below
-    job->retry_budget = tenants[tenant].retry_budget;
-    job->result.modeled_seconds = cost;
-    job->result.prognostic = swm::state<double>(cfg.nx, cfg.ny);
-    job->result.compensation = swm::state<double>(cfg.nx, cfg.ny);
-    if (cfg.record_every > 0) {
-      const auto snaps =
-          static_cast<std::size_t>(cfg.steps / cfg.record_every);
-      job->result.snapshots.reserve(snaps);
-      for (std::size_t s = 0; s < snaps; ++s) {
-        job->result.snapshots.emplace_back(cfg.nx, cfg.ny);
-      }
-    }
-
-    job_record* raw = job.get();
-    const job_id id = raw->id;
-    jobs.emplace(id, std::move(job));
-    // admit() reads the caller's cfg (with `initial` still set).
-    raw->cfg.initial = cfg.initial;
-    group->admit(raw);
-    raw->cfg.initial = nullptr;
+    reserved -= 1;
     active += 1;
-    backlog += cost;
+    const job_id id = next_id++;
+    job->id = id;
+    group->publish(std::move(member));
+    jobs.emplace(id, std::move(job));
     if (opts.async) work_cv.notify_one();
     return {id, submit_error::none};
   }

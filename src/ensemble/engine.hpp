@@ -6,18 +6,20 @@
 /// over the core thread pool (docs/ENSEMBLE.md).
 ///
 /// Scheduling model. Members with the same (personality, nx, ny, ftz)
-/// form a *batch group*. Each scheduling round snapshots the non-empty
-/// groups and fans them out over the pool; the worker that claims a
-/// group advances it tile by tile — `tile_members_for()` members at a
-/// time, priced off the arch model's L2 capacity through
-/// kernels::problems_per_tile so a tile's working set stays cache
-/// resident — and each tile runs `stride` consecutive steps before
-/// the next tile is touched (temporal cache reuse; stride bounds the
-/// per-round unfairness between tiles). Within a step the tile runs
-/// stage-major: every member's four RHS stages, then ONE batched
-/// RK4-apply dispatch through kernels::sweeps::rk4_update[_kahan]_
-/// batched for native integration types (soft-float members fall back
-/// to per-member applies inside the same tile loop).
+/// form a *batch group*. Each scheduling round cuts every non-empty
+/// group into claims and fans them out over the pool. A claim holds
+/// at most `tile_members_for()` members — a tile, priced off the arch
+/// model's L2 capacity through kernels::problems_per_tile so its
+/// working set stays cache resident — and at most ceil(n / threads)
+/// of the group's n members, so a group smaller than threads x tile
+/// still spreads over every worker. The worker that takes a claim
+/// runs `stride` consecutive steps on it before taking the next
+/// (temporal cache reuse; stride bounds the per-round unfairness
+/// between claims). Within a step the claim runs stage-major: every
+/// member's four RHS stages, then ONE batched RK4-apply dispatch
+/// through kernels::sweeps::rk4_update[_kahan]_batched for native
+/// integration types (soft-float members fall back to per-member
+/// applies inside the same loop).
 ///
 /// Determinism. Members never share mutable state and no cross-member
 /// reduction exists, so any claim order, pool size and tile split
@@ -31,7 +33,11 @@
 /// (swm::predict_time at its personality/size); submit() rejects with
 /// typed errors when member capacity or the modeled backlog bound
 /// would be exceeded — backpressure is a normal answer, not an error
-/// path.
+/// path. The decision and the slot it reserves are taken under the
+/// engine mutex; the member is then built (model, seeding or restore,
+/// perturbation) on the calling thread without it, and published
+/// under the mutex again, so concurrent submits build in parallel and
+/// the scheduler steps earlier members meanwhile.
 ///
 /// Member repair. With member_config::autopilot enabled, each member
 /// carries a swm::autopilot that samples a Sherlog shadow stripe every
@@ -83,8 +89,10 @@ struct engine_options {
   /// (bench/ablation_ensemble) — bit-identical, slower.
   bool batched_apply = true;
 
-  /// Members per tile; 0 prices it from `machine`'s L2 via
-  /// kernels::problems_per_tile.
+  /// Members per tile, the most one claim holds; 0 prices it from
+  /// `machine`'s L2 via kernels::problems_per_tile. A group smaller
+  /// than threads x tile is cut into claims of ceil(members / threads)
+  /// instead, one per worker.
   std::size_t tile_members = 0;
 
   /// Tile stride = 1 and tile_members = 1 make scheduling round-robin
@@ -117,6 +125,8 @@ class engine {
   tenant_id register_tenant(std::string name, int retry_budget = 2);
 
   /// Admit one member run; typed rejection instead of blocking.
+  /// Thread-safe: racing submits are decided one at a time under the
+  /// engine mutex, while their members build concurrently outside it.
   [[nodiscard]] submit_ticket submit(const member_config& cfg,
                                      tenant_id tenant = default_tenant);
 

@@ -207,7 +207,8 @@ enum class submit_error : std::uint8_t {
   none,              ///< accepted
   queue_full,        ///< member capacity (engine_options::max_members)
   backlog_exceeded,  ///< modeled backlog past max_backlog_seconds
-  invalid_config,    ///< bad geometry/steps/tenant/initial-state shape
+  invalid_config,    ///< bad geometry/steps/tenant/initial-state shape,
+                     ///< non-finite amplitude, |log2_scale| > 1022
   shutdown,          ///< engine is stopping
 };
 

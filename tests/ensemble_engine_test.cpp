@@ -8,14 +8,20 @@
 // Also pins the control plane: cancellation keeps an oracle-exact
 // trajectory prefix, and admission control rejects with typed errors
 // (queue_full / backlog_exceeded / invalid_config) instead of
-// blocking or throwing.
+// blocking or throwing, deciding racing submits exactly as serial ones.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <climits>
 #include <cstdint>
+#include <latch>
+#include <limits>
 #include <random>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -23,6 +29,7 @@
 #include "fp/bfloat16.hpp"
 #include "fp/float16.hpp"
 #include "fp/fpenv.hpp"
+#include "obs/trace.hpp"
 #include "swm/model.hpp"
 #include "swm/perfmodel.hpp"
 
@@ -176,6 +183,14 @@ std::vector<member_config> mixed_suite() {
   return suite;
 }
 
+/// RAII tracing session: stopped on every exit from the test.
+struct trace_session {
+  trace_session() { obs::start(); }
+  ~trace_session() { obs::stop(); }
+  trace_session(const trace_session&) = delete;
+  trace_session& operator=(const trace_session&) = delete;
+};
+
 void check_suite_against_oracle(engine& eng,
                                 const std::vector<member_config>& suite,
                                 const std::vector<job_id>& ids) {
@@ -260,6 +275,48 @@ TEST(EnsembleEngine, TinyTilesMatchOracle) {
     ids.push_back(t.id);
   }
   eng.wait_all();
+  check_suite_against_oracle(eng, suite, ids);
+}
+
+// A group smaller than its priced tile is cut into one claim per
+// worker rather than stepping on one worker while the other idles:
+// four Float16 members on two threads make two claims of two.
+TEST(EnsembleEngine, SmallGroupSpreadsOverEveryWorker) {
+  if (!obs::compiled) GTEST_SKIP() << "obs compiled out";
+  std::vector<member_config> suite;
+  for (int i = 0; i < 4; ++i) {
+    member_config cfg;
+    cfg.prec = personality::float16;
+    cfg.nx = 32;
+    cfg.ny = 16;
+    cfg.steps = 3;
+    cfg.log2_scale = 8;
+    cfg.seed = 40 + static_cast<std::uint64_t>(i);
+    suite.push_back(cfg);
+  }
+
+  const trace_session session;
+  engine_options opts;
+  opts.threads = 2;
+  opts.async = false;
+  engine eng(opts);
+  ASSERT_GT(eng.tile_members_for(suite.front()), suite.size());
+  std::vector<job_id> ids;
+  for (const member_config& cfg : suite) {
+    const submit_ticket t = eng.submit(cfg);
+    ASSERT_TRUE(t.ok());
+    ids.push_back(t.id);
+  }
+  eng.wait_all();
+  const std::vector<obs::event> events = obs::collect();
+
+  const auto first_round =
+      std::find_if(events.begin(), events.end(), [](const obs::event& e) {
+        return e.what == obs::kind::begin &&
+               std::string_view(e.name) == "ens.round";
+      });
+  ASSERT_NE(first_round, events.end());
+  EXPECT_EQ(first_round->a, 2u) << "claims in the first round";
   check_suite_against_oracle(eng, suite, ids);
 }
 
@@ -507,10 +564,174 @@ TEST(EnsembleControl, InvalidConfigsAreTyped) {
   bad.initial = &wrong_shape;
   EXPECT_EQ(eng.submit(bad).error, submit_error::invalid_config);
 
+  // Non-finite amplitudes would run to an all-NaN "done" result.
+  for (const double a : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    bad = member_config{};
+    bad.velocity_amplitude = a;
+    EXPECT_EQ(eng.submit(bad).error, submit_error::invalid_config) << a;
+    bad = member_config{};
+    bad.perturb_seed = 3;
+    bad.perturb_amplitude = a;
+    EXPECT_EQ(eng.submit(bad).error, submit_error::invalid_config) << a;
+  }
+  // So would a scale whose 2^k or 2^-k is not a normal double.
+  for (const int k : {1023, -1023, 4000, -4000, INT_MAX, INT_MIN}) {
+    bad = member_config{};
+    bad.log2_scale = k;
+    EXPECT_EQ(eng.submit(bad).error, submit_error::invalid_config) << k;
+  }
+
   // Unregistered tenant.
   member_config ok;
   ok.steps = 1;
   EXPECT_EQ(eng.submit(ok, tenant_id{7}).error, submit_error::invalid_config);
+
+  // Nothing above was admitted; the widest scales both ways are.
+  EXPECT_EQ(eng.active_members(), 0u);
+  EXPECT_EQ(eng.backlog_seconds(), 0.0);
+  for (const int k : {1022, -1022}) {
+    ok.log2_scale = k;
+    EXPECT_TRUE(eng.submit(ok).ok()) << k;
+  }
+}
+
+namespace {
+
+/// Four threads race eight submits each into a manual engine, where
+/// nothing steps, so the admission bound alone decides: exactly 16 of
+/// the 32 are admitted and the rest get `rejected_as`.
+void race_admission(const engine_options& opts, submit_error rejected_as) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  member_config cfg;
+  cfg.steps = 2;
+  const double cost = swm::predict_time(arch::fugaku_node, cfg.nx, cfg.ny,
+                                        precision_of(cfg.prec), cfg.steps);
+  engine eng(opts);
+  std::vector<submit_ticket> tickets(kThreads * kPerThread);
+  std::latch start(kThreads);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int k = 0; k < kPerThread; ++k) {
+        tickets[static_cast<std::size_t>(t * kPerThread + k)] =
+            eng.submit(cfg);
+      }
+    });
+  }
+  for (auto& th : submitters) th.join();
+
+  std::vector<job_id> ids;
+  int rejected = 0;
+  for (const submit_ticket& t : tickets) {
+    if (t.ok()) {
+      ids.push_back(t.id);
+    } else {
+      EXPECT_EQ(t.error, rejected_as) << submit_error_name(t.error);
+      EXPECT_EQ(t.id, invalid_job);
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(ids.size(), 16u);
+  EXPECT_EQ(rejected, 16);
+  // Unique and dense: the admitted ids are exactly 1..16.
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i + 1);
+  EXPECT_EQ(eng.active_members(), 16u);
+  EXPECT_DOUBLE_EQ(eng.backlog_seconds(), 16 * cost);
+}
+
+}  // namespace
+
+TEST(EnsembleControl, ConcurrentSubmitsFillCapacityExactly) {
+  engine_options opts;
+  opts.threads = 1;
+  opts.async = false;
+  opts.max_members = 16;
+  race_admission(opts, submit_error::queue_full);
+}
+
+TEST(EnsembleControl, ConcurrentSubmitsFillBacklogExactly) {
+  member_config cfg;
+  cfg.steps = 2;
+  const double cost = swm::predict_time(arch::fugaku_node, cfg.nx, cfg.ny,
+                                        precision_of(cfg.prec), cfg.steps);
+  engine_options opts;
+  opts.threads = 1;
+  opts.async = false;
+  opts.max_backlog_seconds = 16.5 * cost;  // room for 16 jobs, not 17
+  race_admission(opts, submit_error::backlog_exceeded);
+}
+
+// Four submitters, the live scheduler and a poller all at once: the
+// scheduler steps members while others are still being built, and
+// every member still matches its standalone oracle bit for bit.
+TEST(EnsembleControl, ConcurrentSubmitsWithLiveSchedulerMatchOracle) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  constexpr int kMembers = kThreads * kPerThread;
+  std::vector<member_config> suite;
+  for (int i = 0; i < kMembers; ++i) {
+    member_config cfg;
+    cfg.prec = all_personalities[static_cast<std::size_t>(i) % 6];
+    cfg.nx = i % 2 == 0 ? 16 : 12;
+    cfg.ny = cfg.nx / 2;
+    cfg.steps = 3 + i % 3;
+    cfg.seed = 100 + static_cast<std::uint64_t>(i);
+    if (cfg.prec == personality::float16) cfg.log2_scale = 8;
+    suite.push_back(cfg);
+  }
+
+  engine_options opts;
+  opts.threads = 2;
+  opts.async = true;
+  engine eng(opts);
+  std::vector<std::atomic<job_id>> ids(kMembers);
+  std::atomic<int> submitted{0};
+  std::latch start(kThreads + 1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int k = 0; k < kPerThread; ++k) {
+        const auto i = static_cast<std::size_t>(t * kPerThread + k);
+        const submit_ticket ticket = eng.submit(suite[i]);
+        EXPECT_TRUE(ticket.ok()) << submit_error_name(ticket.error);
+        ids[i].store(ticket.id, std::memory_order_relaxed);
+        submitted.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  // The poller sweeps every admitted job until all are terminal.
+  threads.emplace_back([&] {
+    start.arrive_and_wait();
+    for (;;) {
+      const bool all_in =
+          submitted.load(std::memory_order_acquire) == kMembers;
+      bool open = false;
+      for (const auto& id : ids) {
+        const job_id j = id.load(std::memory_order_relaxed);
+        if (j == invalid_job) continue;
+        const auto st = eng.poll(j);
+        open = open || !st ||
+               !(st->state == job_state::done ||
+                 st->state == job_state::cancelled ||
+                 st->state == job_state::failed);
+      }
+      if (all_in && !open) return;
+      std::this_thread::yield();
+    }
+  });
+  for (auto& th : threads) th.join();
+  eng.wait_all();
+  EXPECT_EQ(eng.active_members(), 0u);
+  EXPECT_EQ(eng.backlog_seconds(), 0.0);
+  std::vector<job_id> got;
+  for (const auto& id : ids) got.push_back(id.load());
+  check_suite_against_oracle(eng, suite, got);
 }
 
 TEST(EnsembleControl, HealthSentinelFailureIsTerminalAndTyped) {
