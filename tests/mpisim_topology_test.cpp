@@ -1,6 +1,7 @@
 // Topology layer tests: dimension-ordered routing on the torus, the
-// golden-clock oracle pinning the uncontended DES bit-for-bit, the
-// contended (store-and-forward) fabric's semantics, and the
+// golden-clock oracles pinning the uncontended DES bit-for-bit and the
+// contended one with its link census, the contended
+// (store-and-forward) fabric's semantics, and the
 // scaled-rank-count smoke with a host-time budget (the witness that
 // the flat channel table keeps 1k-4k simulated ranks ctest-friendly).
 //
@@ -210,6 +211,50 @@ TEST(DesGolden, UncontendedClocksMatchPreTopologyBaseline) {
           make_reduce_program(net, p, 4096, 8, 3), place);
     check({"1024 allgather 1KiB", 0xfb327e66acf0b283ull},
           make_allgather_program(p, 128, 8), place);
+  }
+}
+
+// The contended fabric's golden: the clocks plus the whole link census,
+// so a change to the route walk or the link ids shows even where the
+// clocks would survive it.
+TEST(DesGolden, ContendedClocksAndLinkCensus) {
+  const tofud_params net;
+
+  const auto check = [&](const golden_case& want, const sim_program& prog,
+                         const torus_placement& place) {
+    const auto res =
+        simulate(prog, net, place, {}, nullptr, contended_fabric());
+    tfx::test::fnv1a h;
+    h.values(res.clocks);
+    h.value(res.links.routed_messages);
+    h.value(res.links.link_hops);
+    h.value(res.links.contended_hops);
+    h.value(res.links.wait_seconds);
+    h.value(res.links.max_link_busy_s);
+    h.value(res.links.max_link);
+    EXPECT_EQ(h.h, want.hash) << want.name << ": got 0x" << std::hex << h.h;
+  };
+
+  {
+    const torus_placement place({4, 6, 16}, 4);  // Fig. 3: 1536 ranks
+    const int p = place.rank_count();
+    check({"fig3 allreduce rdbl 64B", 0xfa624f30df1ef81bull},
+          make_allreduce_program(net, p, 8, 8,
+                                 coll_algorithm::recursive_doubling),
+          place);
+    check({"fig3 allreduce rab 1MiB", 0xe343705b1652a13bull},
+          make_allreduce_program(net, p, 131072, 8,
+                                 coll_algorithm::rabenseifner),
+          place);
+    check({"fig3 gatherv 4KiB", 0x7a10272d25d793caull},
+          make_gatherv_program(p, 512, 8, 0), place);
+    check({"fig3 reduce 32KiB", 0x4e3d188d2035461full},
+          make_reduce_program(net, p, 4096, 8, 0), place);
+  }
+  {
+    const torus_placement place({8, 8, 16}, 4);  // 4096 ranks
+    check({"4096 hierarchical allreduce 8KiB", 0x45a8f0dc2a6a0405ull},
+          make_hierarchical_allreduce_program(net, place, 1024, 8), place);
   }
 }
 
