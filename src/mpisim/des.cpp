@@ -1,7 +1,7 @@
 #include "mpisim/des.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cstdio>
 
 #include "core/contracts.hpp"
@@ -73,83 +73,51 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
 
   // ---- program pre-scan: build the flat channel table --------------
   // Every (src,dst) pair referenced by a send OR a recv gets one dense
-  // channel index; per-op indices are resolved once here so the hot
-  // loop never hashes or searches. Scanning recvs too guarantees a
-  // receiver blocked on a crashed sender still finds its channel.
+  // channel id, in first-seen order; per-op ids are resolved once here
+  // so the hot loop never hashes. Scanning recvs too guarantees a
+  // receiver blocked on a crashed sender still finds its channel. Keys
+  // src*p+dst go through an open-addressing table with at least twice
+  // as many slots as the program has ops, so it stays at most half
+  // full and the whole scan is one linear walk over the ops.
   const auto up = static_cast<std::uint64_t>(p);
   std::vector<std::size_t> op_base(static_cast<std::size_t>(p) + 1, 0);
-  std::size_t total_ops = 0;
-  std::size_t total_sends = 0;
-  for (int r = 0; r < p; ++r) {
-    op_base[static_cast<std::size_t>(r)] = total_ops;
-    total_ops += prog.ranks[static_cast<std::size_t>(r)].size();
+  for (std::size_t r = 0; r < prog.ranks.size(); ++r) {
+    op_base[r + 1] = op_base[r] + prog.ranks[r].size();
   }
-  op_base[static_cast<std::size_t>(p)] = total_ops;
-
-  std::vector<std::uint64_t> chan_keys;
-  for (int r = 0; r < p; ++r) {
-    const auto ur = static_cast<std::uint64_t>(r);
-    // Collective programs address the same few peers thousands of
-    // times (the ring talks to 2); a small recently-seen window drops
-    // the duplicates so the global sort below stays near-linear in the
-    // *channel* count, not the op count.
-    std::array<std::uint64_t, 8> recent;
-    recent.fill(~std::uint64_t{0});
-    std::size_t cursor = 0;
-    const auto note = [&](std::uint64_t key) {
-      for (const std::uint64_t seen : recent) {
-        if (seen == key) return;
-      }
-      recent[cursor] = key;
-      cursor = (cursor + 1) % recent.size();
-      chan_keys.push_back(key);
-    };
-    for (const sim_op& op : prog.ranks[static_cast<std::size_t>(r)]) {
-      if (op.what == sim_op::kind::send) {
-        note(ur * up + static_cast<std::uint64_t>(op.peer));
-        ++total_sends;
-      } else if (op.what == sim_op::kind::recv) {
-        note(static_cast<std::uint64_t>(op.peer) * up + ur);
-      }
+  const std::size_t total_ops = op_base.back();
+  const auto bits = static_cast<int>(std::bit_width(2 * total_ops | 1));
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<std::int32_t> slots(mask + 1, -1);  // channel id or -1
+  std::vector<std::uint64_t> chan_keys;           // by channel id
+  const auto chan_of = [&](std::uint64_t key) {
+    std::size_t s = (key * 0x9e3779b97f4a7c15ull) >> (64 - bits);
+    for (;; s = (s + 1) & mask) {
+      const std::int32_t id = slots[s];
+      if (id < 0) break;
+      if (chan_keys[static_cast<std::size_t>(id)] == key) return id;
     }
-  }
-  std::sort(chan_keys.begin(), chan_keys.end());
-  chan_keys.erase(std::unique(chan_keys.begin(), chan_keys.end()),
-                  chan_keys.end());
-  const auto chan_of = [&chan_keys](std::uint64_t key) {
-    const auto it =
-        std::lower_bound(chan_keys.begin(), chan_keys.end(), key);
-    return static_cast<std::int32_t>(it - chan_keys.begin());
+    slots[s] = static_cast<std::int32_t>(chan_keys.size());
+    chan_keys.push_back(key);
+    return slots[s];
   };
 
-  // Per-op channel index, flattened across ranks (compute ops keep -1).
-  // The same recently-seen trick caches resolved (key, index) pairs so
-  // the binary search runs per *distinct* peer, not per op.
+  // Per-op channel id, flattened across ranks (compute ops keep -1).
   std::vector<std::int32_t> op_chan(total_ops, -1);
+  std::size_t total_sends = 0;
   for (int r = 0; r < p; ++r) {
     const auto ur = static_cast<std::uint64_t>(r);
     const auto& ops = prog.ranks[static_cast<std::size_t>(r)];
-    std::int32_t* slot = op_chan.data() + op_base[static_cast<std::size_t>(r)];
-    std::array<std::uint64_t, 8> ckey;
-    std::array<std::int32_t, 8> cidx{};
-    ckey.fill(~std::uint64_t{0});
-    std::size_t cursor = 0;
-    const auto resolve = [&](std::uint64_t key) {
-      for (std::size_t k = 0; k < ckey.size(); ++k) {
-        if (ckey[k] == key) return cidx[k];
-      }
-      const std::int32_t idx = chan_of(key);
-      ckey[cursor] = key;
-      cidx[cursor] = idx;
-      cursor = (cursor + 1) % ckey.size();
-      return idx;
-    };
+    std::int32_t* chans = op_chan.data() + op_base[static_cast<std::size_t>(r)];
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const sim_op& op = ops[i];
+      if (op.what == sim_op::kind::compute) continue;
+      TFX_EXPECTS(op.peer >= 0 && op.peer < p);
+      const auto peer = static_cast<std::uint64_t>(op.peer);
       if (op.what == sim_op::kind::send) {
-        slot[i] = resolve(ur * up + static_cast<std::uint64_t>(op.peer));
-      } else if (op.what == sim_op::kind::recv) {
-        slot[i] = resolve(static_cast<std::uint64_t>(op.peer) * up + ur);
+        chans[i] = chan_of(ur * up + peer);
+        ++total_sends;
+      } else {
+        chans[i] = chan_of(peer * up + ur);
       }
     }
   }
@@ -396,9 +364,9 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   }
   if (traced) {
     // Same metric names as communicator::flush_obs, so a threaded run
-    // and its DES twin produce comparable registry contents. chan_keys
-    // is sorted by src*p+dst, i.e. the same (src,dst)-lexicographic
-    // order the seed's dense double loop emitted.
+    // and its DES twin produce comparable registry contents. The
+    // registry keys counters by name, so the channels' first-seen order
+    // does not reach it.
     char name[48];
     for (std::size_t c = 0; c < chan_keys.size(); ++c) {
       const std::uint64_t bytes = channels[c].tx_bytes;

@@ -126,6 +126,8 @@ class torus_placement {
 
   /// Allocation-free route walk for the DES hot path: calls
   /// `fn(link_id)` for every directed link of route_of(a, b) in order.
+  /// The endpoints' coordinates are computed once; each hop wraps with
+  /// a compare, so the walk does no division.
   template <typename Fn>
   void for_each_route_link(int node_a, int node_b, Fn&& fn) const {
     const auto a = coords_of(node_a);
@@ -133,14 +135,16 @@ class torus_placement {
     std::array<int, 3> cur = a;
     for (int d = 0; d < 3; ++d) {
       const int n = shape_[d];
-      const int fwd = ((b[d] - a[d]) % n + n) % n;  // steps going +1
-      const int back = n - fwd;                     // steps going -1
-      const int dir = fwd <= back ? +1 : -1;        // tie -> positive
+      int fwd = b[d] - a[d];                  // steps going +1
+      if (fwd < 0) fwd += n;
+      const int back = n - fwd;               // steps going -1
+      const int dir = fwd <= back ? +1 : -1;  // tie -> positive
       const int steps = fwd <= back ? fwd : back;
       for (int s = 0; s < steps; ++s) {
-        const int node = node_index(cur);
-        fn(link_id(node, d, dir));
-        cur[d] = ((cur[d] + dir) % n + n) % n;
+        fn(link_id(node_index(cur), d, dir));
+        cur[d] += dir;
+        if (cur[d] == n) cur[d] = 0;
+        if (cur[d] < 0) cur[d] = n - 1;
       }
     }
   }

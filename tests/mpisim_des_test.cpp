@@ -396,6 +396,35 @@ TEST(ProgramCaptureDeathTest, RootOutsideTheCommunicatorAborts) {
       msg);
 }
 
+// A peer outside [0, p) must abort, not alias another channel: with
+// p = 2 the key of 0->2 equals the key of 1->0, so without the check
+// rank 0 would receive its own misaddressed message.
+TEST(DesDeathTest, PeerOutsideTheProgramAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const tofud_params net;
+  const auto place = torus_placement::line(2);
+  const char* const msg = "precondition failed: op.peer >= 0 && op.peer < p";
+  sim_program misaddressed(2);
+  misaddressed.rank(0) = {sim_op::send_to(2, 64), sim_op::recv_from(1, 64)};
+  EXPECT_DEATH(simulate(misaddressed, net, place), msg);
+  sim_program negative(2);
+  negative.rank(1) = {sim_op::recv_from(-1, 64)};
+  EXPECT_DEATH(simulate(negative, net, place), msg);
+}
+
+// A receive no send ever matches deadlocks the program. Its channel is
+// seen only by receives, so reaching the deadlock check also shows such
+// a channel gets a table entry of its own.
+TEST(DesDeathTest, UnmatchedReceiveDeadlocks) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const tofud_params net;
+  sim_program prog(2);
+  prog.rank(0) = {sim_op::send_to(1, 64), sim_op::recv_from(1, 64)};
+  prog.rank(1) = {sim_op::recv_from(0, 64)};
+  EXPECT_DEATH(simulate(prog, net, torus_placement::line(2)),
+               "sim_program deadlocked");
+}
+
 // Building a program leaves no trace: tracing a run that builds DES
 // programs must not log a collective span per simulated rank.
 TEST(ProgramCapture, EmitsNoTraceEvents) {
