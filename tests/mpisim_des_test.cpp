@@ -419,8 +419,7 @@ TEST(DesDeathTest, UnmatchedReceiveDeadlocks) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const tofud_params net;
   sim_program prog(2);
-  prog.rank(0) = {sim_op::send_to(1, 64), sim_op::recv_from(1, 64)};
-  prog.rank(1) = {sim_op::recv_from(0, 64)};
+  prog.rank(0) = {sim_op::recv_from(1, 64)};
   EXPECT_DEATH(simulate(prog, net, torus_placement::line(2)),
                "sim_program deadlocked");
 }
