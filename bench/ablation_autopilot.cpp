@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
@@ -35,12 +36,6 @@ using namespace tfx;
 using namespace tfx::ensemble;
 
 namespace {
-
-struct overhead_row {
-  int check_every = 0;  ///< 0: autopilot off (the baseline)
-  double sps = 0;       ///< member-steps/s
-  double overhead_pct = 0;
-};
 
 member_config bench_member(int steps, std::uint64_t seed) {
   member_config cfg;
@@ -126,37 +121,6 @@ double run_failstop_rerun(engine_options opts, int steps) {
   return secs;
 }
 
-void write_json(const std::string& path, int members, int steps, int threads,
-                const std::vector<overhead_row>& rows, double recover_s,
-                double rerun_s) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_autopilot\",\n");
-  std::fprintf(f, "  \"grid\": \"32x16 Float16 scale 2^8\",\n");
-  std::fprintf(f, "  \"members\": %d,\n  \"steps\": %d,\n  \"threads\": %d,\n",
-               members, steps, threads);
-  std::fprintf(f, "  \"shadow_overhead\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"check_every\": %d, \"member_steps_per_s\": %.6e, "
-                 "\"overhead_pct\": %.3f}%s\n",
-                 r.check_every, r.sps, r.overhead_pct,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"recovery\": {\n");
-  std::fprintf(f, "    \"recover_seconds\": %.6e,\n", recover_s);
-  std::fprintf(f, "    \"failstop_rerun_seconds\": %.6e,\n", rerun_s);
-  std::fprintf(f, "    \"rerun_over_recover\": %.4f\n",
-               recover_s > 0 ? rerun_s / recover_s : 0);
-  std::fprintf(f, "  }\n}\n");
-  std::printf("\nWrote %s\n", path.c_str());
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -182,22 +146,24 @@ int main(int argc, char** argv) {
               "%d thread%s\n\n",
               steps, threads, threads == 1 ? "" : "s");
 
-  std::vector<overhead_row> rows;
+  std::vector<bench_json::value> rows;
   table t({"check_every", "ksteps/s", "overhead %"});
   (void)run_clean(opts, members, steps, 0);  // warm-up: touch pools+caches
   double base_sps = 0;
   for (const int every : {0, 16, 8, 4, 2, 1}) {
-    overhead_row r;
-    r.check_every = every;
     // Best of two: the sweep measures a fixed per-step cost, so the
     // faster repetition is the less-perturbed one.
-    r.sps = std::max(run_clean(opts, members, steps, every),
-                     run_clean(opts, members, steps, every));
-    if (every == 0) base_sps = r.sps;
-    r.overhead_pct = base_sps > 0 ? (base_sps / r.sps - 1.0) * 100.0 : 0;
-    rows.push_back(r);
+    const double sps = std::max(run_clean(opts, members, steps, every),
+                                run_clean(opts, members, steps, every));
+    if (every == 0) base_sps = sps;
+    const double overhead_pct =
+        base_sps > 0 ? (base_sps / sps - 1.0) * 100.0 : 0;
+    rows.push_back(bench_json::object(
+        {{"check_every", bench_json::integer(every)},
+         {"member_steps_per_s", bench_json::sci(sps)},
+         {"overhead_pct", bench_json::fixed(overhead_pct, 3)}}));
     t.add_row({every == 0 ? "off" : std::to_string(every),
-               format_fixed(r.sps / 1e3, 2), format_fixed(r.overhead_pct, 2)});
+               format_fixed(sps / 1e3, 2), format_fixed(overhead_pct, 2)});
   }
   t.print(std::cout);
 
@@ -207,6 +173,19 @@ int main(int argc, char** argv) {
               "fail-stop + bf16 rerun: %.3f s   ratio %.2fx\n",
               recover_s, rerun_s, recover_s > 0 ? rerun_s / recover_s : 0);
 
-  write_json(json, members, steps, threads, rows, recover_s, rerun_s);
-  return 0;
+
+  using namespace bench_json;
+  document doc;
+  doc.member("bench", string("ablation_autopilot"))
+      .member("grid", string("32x16 Float16 scale 2^8"))
+      .member("members", integer(members))
+      .member("steps", integer(steps))
+      .member("threads", integer(threads))
+      .rows("shadow_overhead", rows)
+      .member("recovery",
+              object({{"recover_seconds", sci(recover_s)},
+                      {"failstop_rerun_seconds", sci(rerun_s)},
+                      {"rerun_over_recover",
+                       fixed(recover_s > 0 ? rerun_s / recover_s : 0, 4)}}));
+  return doc.write(json) ? 0 : 1;
 }

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
@@ -50,20 +51,6 @@ using namespace tfx;
 using namespace tfx::ensemble;
 
 namespace {
-
-struct scale_row {
-  int members = 0;
-  std::size_t tile = 0;     ///< priced tile of the batched mode
-  double batched_sps = 0;   ///< member-steps/s, batched
-  double serial_sps = 0;    ///< member-steps/s, one-at-a-time
-  double speedup = 0;
-};
-
-struct tile_row {
-  std::size_t tile = 0;
-  double sps = 0;
-  double speedup = 0;  ///< vs tile 1 (same stride, batched apply)
-};
 
 member_config bench_member(int steps, std::uint64_t seed) {
   member_config cfg;
@@ -117,41 +104,6 @@ double run_one_at_a_time(engine_options opts, int members, int steps) {
   return static_cast<double>(members) * steps / secs;
 }
 
-void write_json(const std::string& path, int steps, int threads,
-                const std::vector<scale_row>& scaling,
-                const std::vector<tile_row>& tiles) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_ensemble\",\n");
-  std::fprintf(f, "  \"grid\": \"48x24 Float64\",\n");
-  std::fprintf(f, "  \"steps\": %d,\n  \"threads\": %d,\n", steps, threads);
-  std::fprintf(f, "  \"scaling\": [\n");
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const auto& r = scaling[i];
-    std::fprintf(f,
-                 "    {\"members\": %d, \"tile\": %zu, "
-                 "\"batched_member_steps_per_s\": %.6e, "
-                 "\"one_at_a_time_member_steps_per_s\": %.6e, "
-                 "\"batched_speedup\": %.4f}%s\n",
-                 r.members, r.tile, r.batched_sps, r.serial_sps, r.speedup,
-                 i + 1 < scaling.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"tile_sweep\": [\n");
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    const auto& r = tiles[i];
-    std::fprintf(f,
-                 "    {\"tile\": %zu, \"member_steps_per_s\": %.6e, "
-                 "\"speedup_vs_tile1\": %.4f}%s\n",
-                 r.tile, r.sps, r.speedup, i + 1 < tiles.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::printf("\nWrote %s\n", path.c_str());
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -179,19 +131,20 @@ int main(int argc, char** argv) {
               "L2-priced tile: %zu members\n\n",
               steps, threads, threads == 1 ? "" : "s", priced_tile);
 
-  std::vector<scale_row> scaling;
+  std::vector<bench_json::value> scaling;
   table t({"members", "batched Msteps/s", "1-at-a-time Msteps/s", "speedup"});
   for (const int members : {8, 16, 32, 64, 128, 256}) {
-    scale_row r;
-    r.members = members;
-    r.tile = priced_tile;
-    r.batched_sps = run_batched(batched, members, steps);
-    r.serial_sps = run_one_at_a_time(batched, members, steps);
-    r.speedup = r.batched_sps / r.serial_sps;
-    scaling.push_back(r);
-    t.add_row({std::to_string(members), format_fixed(r.batched_sps / 1e6, 3),
-               format_fixed(r.serial_sps / 1e6, 3),
-               format_fixed(r.speedup, 3)});
+    const double batched_sps = run_batched(batched, members, steps);
+    const double serial_sps = run_one_at_a_time(batched, members, steps);
+    const double speedup = batched_sps / serial_sps;
+    scaling.push_back(bench_json::object(
+        {{"members", bench_json::integer(members)},
+         {"tile", bench_json::integer(priced_tile)},
+         {"batched_member_steps_per_s", bench_json::sci(batched_sps)},
+         {"one_at_a_time_member_steps_per_s", bench_json::sci(serial_sps)},
+         {"batched_speedup", bench_json::fixed(speedup, 4)}}));
+    t.add_row({std::to_string(members), format_fixed(batched_sps / 1e6, 3),
+               format_fixed(serial_sps / 1e6, 3), format_fixed(speedup, 3)});
   }
   t.print(std::cout);
 
@@ -200,7 +153,7 @@ int main(int argc, char** argv) {
   // defaults). Small tiles feed more workers; large tiles amortize
   // more apply dispatches — the priced tile is the model's bet.
   const int fixed_members = 128;
-  std::vector<tile_row> tiles;
+  std::vector<bench_json::value> tiles;
   table t2({"tile", "Msteps/s", "speedup vs tile 1"});
   double tile1_sps = 0;
   for (const std::size_t tile : {std::size_t{1}, std::size_t{2},
@@ -209,18 +162,25 @@ int main(int argc, char** argv) {
                                  std::size_t{64}, priced_tile}) {
     engine_options opts = batched;
     opts.tile_members = tile;
-    tile_row r;
-    r.tile = tile;
-    r.sps = run_batched(opts, fixed_members, steps);
-    if (tile == 1) tile1_sps = r.sps;
-    r.speedup = tile1_sps > 0 ? r.sps / tile1_sps : 0;
-    tiles.push_back(r);
+    const double sps = run_batched(opts, fixed_members, steps);
+    if (tile == 1) tile1_sps = sps;
+    const double speedup = tile1_sps > 0 ? sps / tile1_sps : 0;
+    tiles.push_back(bench_json::object(
+        {{"tile", bench_json::integer(tile)},
+         {"member_steps_per_s", bench_json::sci(sps)},
+         {"speedup_vs_tile1", bench_json::fixed(speedup, 4)}}));
     t2.add_row({std::to_string(tile) + (tile == priced_tile ? " (priced)" : ""),
-                format_fixed(r.sps / 1e6, 3), format_fixed(r.speedup, 3)});
+                format_fixed(sps / 1e6, 3), format_fixed(speedup, 3)});
   }
   std::puts("");
   t2.print(std::cout);
 
-  write_json(json, steps, threads, scaling, tiles);
-  return 0;
+  bench_json::document doc;
+  doc.member("bench", bench_json::string("ablation_ensemble"))
+      .member("grid", bench_json::string("48x24 Float64"))
+      .member("steps", bench_json::integer(steps))
+      .member("threads", bench_json::integer(threads))
+      .rows("scaling", scaling)
+      .rows("tile_sweep", tiles);
+  return doc.write(json) ? 0 : 1;
 }

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
@@ -76,34 +77,16 @@ row run_pingpong(std::size_t bytes, double drop, std::uint64_t seed,
   return r;
 }
 
-void write_json(const std::string& path, std::uint64_t seed, int iters,
-                const std::vector<row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_faults\",\n");
-  std::fprintf(f, "  \"seed\": %llu,\n  \"iters\": %d,\n  \"rows\": [\n",
-               static_cast<unsigned long long>(seed), iters);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"bytes\": %zu, \"drop\": %.3f, \"latency_s\": %.6e, "
-        "\"inflation\": %.4f, \"sends\": %llu, \"attempts\": %llu, "
-        "\"retries\": %llu, \"drops\": %llu, \"rx_discards\": %llu}%s\n",
-        r.bytes, r.drop, r.latency_s, r.inflation,
-        static_cast<unsigned long long>(r.stats.sends),
-        static_cast<unsigned long long>(r.stats.attempts),
-        static_cast<unsigned long long>(r.stats.retries),
-        static_cast<unsigned long long>(r.stats.drops),
-        static_cast<unsigned long long>(r.rx_discards),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nWrote %s\n", path.c_str());
+bench_json::value to_json(const row& r) {
+  using namespace bench_json;
+  return object({{"bytes", integer(r.bytes)}, {"drop", fixed(r.drop, 3)},
+                 {"latency_s", sci(r.latency_s)},
+                 {"inflation", fixed(r.inflation, 4)},
+                 {"sends", integer(r.stats.sends)},
+                 {"attempts", integer(r.stats.attempts)},
+                 {"retries", integer(r.stats.retries)},
+                 {"drops", integer(r.stats.drops)},
+                 {"rx_discards", integer(r.rx_discards)}});
 }
 
 }  // namespace
@@ -128,7 +111,7 @@ int main(int argc, char** argv) {
   const std::size_t sizes[] = {64, 1024, 16 * 1024, 256 * 1024};
   const double drops[] = {0.0, 0.01, 0.05, 0.1, 0.2};
 
-  std::vector<row> rows;
+  std::vector<bench_json::value> rows;
   table t({"bytes", "drop", "latency", "inflation", "retries/msg",
            "attempts"});
   for (const std::size_t bytes : sizes) {
@@ -145,10 +128,15 @@ int main(int argc, char** argv) {
                  format_seconds(r.latency_s), format_fixed(r.inflation, 3),
                  format_fixed(rpm, 3),
                  std::to_string(r.stats.attempts)});
-      rows.push_back(r);
+      rows.push_back(to_json(r));
     }
   }
   t.print(std::cout);
-  write_json(json, seed, iters, rows);
-  return 0;
+
+  bench_json::document doc;
+  doc.member("bench", bench_json::string("ablation_faults"))
+      .member("seed", bench_json::integer(seed))
+      .member("iters", bench_json::integer(iters))
+      .rows("rows", rows);
+  return doc.write(json) ? 0 : 1;
 }

@@ -32,11 +32,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
@@ -117,40 +117,14 @@ double vtime_per_step(int nx, int ny, int ranks, double rhs_seconds,
   return max_clock / steps;
 }
 
-void write_rows(std::FILE* f, const row* rows, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"nx\": %d, \"ny\": %d, \"ranks\": %d, \"mode\": \"%s\", "
-        "\"halo_s\": %.6e, \"vstep_s\": %.6e, \"msgs\": %llu, "
-        "\"bytes\": %llu, \"predicted_s\": %.6e, "
-        "\"speedup_vs_per_field\": %.4f}%s\n",
-        r.nx, r.ny, r.ranks, r.mode, r.halo_s, r.vstep_s,
-        static_cast<unsigned long long>(r.msgs),
-        static_cast<unsigned long long>(r.bytes), r.predicted_s, r.speedup,
-        i + 1 < n ? "," : "");
-  }
-}
-
-void write_json(const std::string& path, int steps,
-                const std::vector<row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_halo\",\n");
-  std::fprintf(f, "  \"steps\": %d,\n  \"rows\": [\n", steps);
-  write_rows(f, rows.data(), rows.size());
-  std::fprintf(f,
-               "  ],\n  \"frozen_note\": \"per_field and aggregated: the "
-               "engines the model no longer has, as last measured at 5 "
-               "steps; not regenerated\",\n  \"frozen_rows\": [\n");
-  write_rows(f, frozen_rows, std::size(frozen_rows));
-  std::fprintf(f, "  ]\n}\n");
-  std::printf("\nWrote %s\n", path.c_str());
-  std::fclose(f);
+bench_json::value to_json(const row& r) {
+  using namespace bench_json;
+  return object({{"nx", integer(r.nx)}, {"ny", integer(r.ny)},
+                 {"ranks", integer(r.ranks)}, {"mode", string(r.mode)},
+                 {"halo_s", sci(r.halo_s)}, {"vstep_s", sci(r.vstep_s)},
+                 {"msgs", integer(r.msgs)}, {"bytes", integer(r.bytes)},
+                 {"predicted_s", sci(r.predicted_s)},
+                 {"speedup_vs_per_field", fixed(r.speedup, 4)}});
 }
 
 }  // namespace
@@ -171,7 +145,7 @@ int main(int argc, char** argv) {
   std::puts("per-field baseline; virtual time on the modeled TofuD fabric");
   std::puts("(deterministic, bit-reproducible).\n");
 
-  std::vector<row> rows;
+  std::vector<bench_json::value> rows;
   table t({"grid", "ranks", "halo/step", "per-field", "speedup", "vstep",
            "msgs/step", "predicted"});
   for (const int nx : {32, 128, 512}) {
@@ -201,7 +175,7 @@ int main(int argc, char** argv) {
                  format_seconds(per_field), format_fixed(r.speedup, 2),
                  format_seconds(r.vstep_s), std::to_string(r.msgs),
                  format_seconds(r.predicted_s)});
-      rows.push_back(r);
+      rows.push_back(to_json(r));
     }
   }
   t.print(std::cout);
@@ -210,6 +184,17 @@ int main(int argc, char** argv) {
   std::puts("overhead dominates the wire time (paper Figs. 2-3); overlap");
   std::puts("additionally hides the interior compute share under the");
   std::puts("exchange, visible in vstep once real compute is charged.");
-  write_json(json, steps, rows);
-  return 0;
+
+  std::vector<bench_json::value> frozen;
+  for (const row& r : frozen_rows) frozen.push_back(to_json(r));
+  bench_json::document doc;
+  doc.member("bench", bench_json::string("ablation_halo"))
+      .member("steps", bench_json::integer(steps))
+      .rows("rows", rows)
+      .member("frozen_note",
+              bench_json::string("per_field and aggregated: the engines "
+                                 "the model no longer has, as last "
+                                 "measured at 5 steps; not regenerated"))
+      .rows("frozen_rows", frozen);
+  return doc.write(json) ? 0 : 1;
 }

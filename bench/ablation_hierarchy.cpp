@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/timer.hpp"
@@ -43,14 +44,6 @@ struct scale {
   torus_placement place;
 };
 
-struct latency_row {
-  int ranks = 0;
-  std::size_t bytes = 0;
-  const char* layout = "";  ///< "flat" | "hierarchical"
-  const char* fabric = "";  ///< "uncontended" | "contended"
-  double latency_s = 0;
-};
-
 struct gatherv_report {
   std::size_t bytes = 0;
   double uncontended_s = 0;  ///< single cold op, endpoint-port fabric
@@ -58,14 +51,6 @@ struct gatherv_report {
   double imb_uncontended_s = 0;  ///< steady state (IMB repetitions)
   double imb_contended_s = 0;
   link_stat_block links;
-};
-
-struct host_row {
-  int ranks = 0;
-  const char* program = "";
-  std::size_t bytes = 0;
-  double host_s = 0;       ///< build + simulate wall time, this run
-  double host_s_seed = 0;  ///< same workload at the pre-refactor commit
 };
 
 collective_kind kind_of(bool hier) {
@@ -77,56 +62,6 @@ des_options fabric(fabric_mode mode) {
   des_options opts;
   opts.fabric = mode;
   return opts;
-}
-
-void write_json(const std::string& path, const std::vector<latency_row>& rows,
-                const gatherv_report& gv, const std::vector<host_row>& host) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_hierarchy\",\n  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"ranks\": %d, \"bytes\": %zu, \"layout\": \"%s\", "
-                 "\"fabric\": \"%s\", \"latency_s\": %.6e}%s\n",
-                 r.ranks, r.bytes, r.layout, r.fabric, r.latency_s,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"gatherv_1536\": {\"bytes\": %zu, "
-               "\"cold_uncontended_s\": %.6e, \"cold_contended_s\": %.6e, "
-               "\"steady_uncontended_s\": %.6e, "
-               "\"steady_contended_s\": %.6e, \"steady_slowdown\": %.3f,\n"
-               "    \"routed_messages\": %llu, "
-               "\"link_hops\": %llu, \"contended_hops\": %llu, "
-               "\"link_wait_s\": %.6e, \"max_link_busy_s\": %.6e, "
-               "\"max_link\": %d},\n",
-               gv.bytes, gv.uncontended_s, gv.contended_s,
-               gv.imb_uncontended_s, gv.imb_contended_s,
-               gv.imb_contended_s / gv.imb_uncontended_s,
-               static_cast<unsigned long long>(gv.links.routed_messages),
-               static_cast<unsigned long long>(gv.links.link_hops),
-               static_cast<unsigned long long>(gv.links.contended_hops),
-               gv.links.wait_seconds, gv.links.max_link_busy_s,
-               gv.links.max_link);
-  std::fprintf(f, "  \"des_host_time\": [\n");
-  for (std::size_t i = 0; i < host.size(); ++i) {
-    const auto& h = host[i];
-    std::fprintf(
-        f,
-        "    {\"ranks\": %d, \"program\": \"%s\", \"bytes\": %zu, "
-        "\"host_s\": %.6e, \"host_us_per_rank\": %.3f, "
-        "\"host_s_seed\": %.6e, \"speedup_vs_seed\": %.2f}%s\n",
-        h.ranks, h.program, h.bytes, h.host_s,
-        h.host_s * 1e6 / h.ranks, h.host_s_seed, h.host_s_seed / h.host_s,
-        i + 1 < host.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nWrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -156,7 +91,7 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::size_t> sizes = {64, 8192, 1 << 20};
 
-  std::vector<latency_row> rows;
+  std::vector<bench_json::value> rows;
   for (const auto& s : scales) {
     std::printf("== %s ==\n", s.name);
     table t({"bytes", "flat", "hier", "hier/flat", "flat+cont", "hier+cont",
@@ -172,9 +107,13 @@ int main(int argc, char** argv) {
               run_collective(kind_of(hier), imb_c, config, s.place, {bytes},
                              coll_algorithm::automatic, fabric(mode));
           lat[hier][cont] = m.front().latency_s;
-          rows.push_back({p, bytes, hier ? "hierarchical" : "flat",
-                          cont ? "contended" : "uncontended",
-                          m.front().latency_s});
+          rows.push_back(bench_json::object(
+              {{"ranks", bench_json::integer(p)},
+               {"bytes", bench_json::integer(bytes)},
+               {"layout", bench_json::string(hier ? "hierarchical" : "flat")},
+               {"fabric",
+                bench_json::string(cont ? "contended" : "uncontended")},
+               {"latency_s", bench_json::sci(m.front().latency_s)}}));
         }
       }
       t.add_row({format_bytes(bytes), format_seconds(lat[0][0]),
@@ -243,7 +182,7 @@ int main(int argc, char** argv) {
   // pre-refactor commit (d50f556, Release -O2, same container class):
   // the unordered_map channel registry and per-op allocations dominated
   // above ~1k ranks.
-  std::vector<host_row> host;
+  std::vector<bench_json::value> host;
   struct workload {
     int ranks;
     const char* name;
@@ -279,7 +218,14 @@ int main(int argc, char** argv) {
       const double t = sw.seconds();
       best = rep == 0 ? t : std::min(best, t);
     }
-    host.push_back({w.ranks, w.name, w.bytes, best, w.seed_s});
+    host.push_back(bench_json::object(
+        {{"ranks", bench_json::integer(w.ranks)},
+         {"program", bench_json::string(w.name)},
+         {"bytes", bench_json::integer(w.bytes)},
+         {"host_s", bench_json::sci(best)},
+         {"host_us_per_rank", bench_json::fixed(best * 1e6 / w.ranks, 3)},
+         {"host_s_seed", bench_json::sci(w.seed_s)},
+         {"speedup_vs_seed", bench_json::fixed(w.seed_s / best, 2)}}));
     ht.add_row({std::to_string(w.ranks), w.name, format_bytes(w.bytes),
                 format_fixed(best * 1e3, 2),
                 format_fixed(best * 1e6 / w.ranks, 2),
@@ -288,6 +234,25 @@ int main(int argc, char** argv) {
   }
   ht.print(std::cout);
 
-  write_json(json, rows, gv, host);
-  return 0;
+
+  using namespace bench_json;
+  document doc;
+  doc.member("bench", string("ablation_hierarchy"))
+      .rows("rows", rows)
+      .member("gatherv_1536",
+              object({{"bytes", integer(gv.bytes)},
+                      {"cold_uncontended_s", sci(gv.uncontended_s)},
+                      {"cold_contended_s", sci(gv.contended_s)},
+                      {"steady_uncontended_s", sci(gv.imb_uncontended_s)},
+                      {"steady_contended_s", sci(gv.imb_contended_s)},
+                      {"steady_slowdown",
+                       fixed(gv.imb_contended_s / gv.imb_uncontended_s, 3)},
+                      {"routed_messages", integer(gv.links.routed_messages)},
+                      {"link_hops", integer(gv.links.link_hops)},
+                      {"contended_hops", integer(gv.links.contended_hops)},
+                      {"link_wait_s", sci(gv.links.wait_seconds)},
+                      {"max_link_busy_s", sci(gv.links.max_link_busy_s)},
+                      {"max_link", integer(gv.links.max_link)}}))
+      .rows("des_host_time", host);
+  return doc.write(json) ? 0 : 1;
 }

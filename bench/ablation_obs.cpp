@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/threadpool.hpp"
@@ -93,34 +94,6 @@ regime_result measure(const std::string& regime, swm_params p,
   return r;
 }
 
-void write_json(const std::string& path, int threads, int nx, int ny,
-                int steps, const std::vector<regime_result>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_obs\",\n");
-  std::fprintf(f, "  \"obs_compiled\": %s,\n", obs::compiled ? "true" : "false");
-  std::fprintf(f, "  \"threads\": %d,\n  \"nx\": %d,\n  \"ny\": %d,\n", threads,
-               nx, ny);
-  std::fprintf(f, "  \"steps\": %d,\n  \"regimes\": [\n", steps);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(f,
-                 "    {\"regime\": \"%s\", \"median_step_seconds\": %.6e, "
-                 "\"overhead_vs_off\": %.6f, \"events\": %llu, "
-                 "\"dropped\": %llu}%s\n",
-                 r.regime.c_str(), r.median_step_s, r.overhead_vs(results[0]),
-                 static_cast<unsigned long long>(r.events),
-                 static_cast<unsigned long long>(r.dropped),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nWrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,7 +146,22 @@ int main(int argc, char** argv) {
   std::puts("\n== Metrics registry after the active regimes ==");
   obs::metrics_registry::instance().to_table().print(std::cout);
 
-  write_json(json, args.has("serial") ? 1 : threads, p.nx, p.ny, steps,
-             results);
-  return 0;
+  std::vector<bench_json::value> regimes;
+  for (const auto& r : results) {
+    regimes.push_back(bench_json::object(
+        {{"regime", bench_json::string(r.regime)},
+         {"median_step_seconds", bench_json::sci(r.median_step_s)},
+         {"overhead_vs_off", bench_json::fixed(r.overhead_vs(results[0]), 6)},
+         {"events", bench_json::integer(r.events)},
+         {"dropped", bench_json::integer(r.dropped)}}));
+  }
+  bench_json::document doc;
+  doc.member("bench", bench_json::string("ablation_obs"))
+      .member("obs_compiled", bench_json::boolean(obs::compiled))
+      .member("threads", bench_json::integer(args.has("serial") ? 1 : threads))
+      .member("nx", bench_json::integer(p.nx))
+      .member("ny", bench_json::integer(p.ny))
+      .member("steps", bench_json::integer(steps))
+      .rows("regimes", regimes);
+  return doc.write(json) ? 0 : 1;
 }

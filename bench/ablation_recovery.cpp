@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
@@ -148,11 +149,11 @@ mpisim::crash_event next_crash(const run_out& probe, int n) {
   return {0, mid_window_send(rank0, rank0.commit_marks.size() - 2)};
 }
 
-/// The ranks that died, in order, separated by `sep`.
-std::string joined(const std::vector<int>& ranks, const char* sep) {
+/// The ranks that died, in order, separated by commas.
+std::string joined(const std::vector<int>& ranks) {
   std::string out;
   for (const int r : ranks) {
-    if (!out.empty()) out += sep;
+    if (!out.empty()) out += ',';
     out += std::to_string(r);
   }
   return out;
@@ -170,31 +171,16 @@ bool bit_identical(const run_out& got, const run_out& want) {
   return true;
 }
 
-void write_json(const std::string& path, std::uint64_t seed, int steps,
-                const std::vector<row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_recovery\",\n");
-  std::fprintf(f, "  \"ranks\": %d,\n  \"seed\": %llu,\n", kRanks,
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"steps\": %d,\n  \"rows\": [\n", steps);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"interval\": %d, \"crashes\": %d, \"fired\": [%s], "
-        "\"clock_s\": %.6e, \"overhead\": %.4f, \"replayed_steps\": %d, "
-        "\"commits\": %llu, \"rounds\": %d, \"bit_identical\": %s}%s\n",
-        r.interval, r.crashes, joined(r.fired, ", ").c_str(), r.clock_s, r.overhead,
-        r.replayed, static_cast<unsigned long long>(r.commits), r.rounds,
-        r.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nWrote %s\n", path.c_str());
+bench_json::value to_json(const row& r) {
+  using namespace bench_json;
+  return object({{"interval", integer(r.interval)},
+                 {"crashes", integer(r.crashes)},
+                 {"fired", integer_list(r.fired)},
+                 {"clock_s", sci(r.clock_s)},
+                 {"overhead", fixed(r.overhead, 4)},
+                 {"replayed_steps", integer(r.replayed)},
+                 {"commits", integer(r.commits)}, {"rounds", integer(r.rounds)},
+                 {"bit_identical", boolean(r.identical)}});
 }
 
 }  // namespace
@@ -224,7 +210,7 @@ int main(int argc, char** argv) {
   const int intervals[] = {2, 5, 10};
   const int max_crashes = 2;
 
-  std::vector<row> rows;
+  std::vector<bench_json::value> rows;
   table t({"K", "crashes", "fired", "clock", "overhead", "replayed",
            "commits", "rounds", "bit-identical"});
   for (const int interval : intervals) {
@@ -251,12 +237,12 @@ int main(int argc, char** argv) {
       r.rounds = got.rounds;
       r.identical = bit_identical(got, oracle);
       t.add_row({std::to_string(r.interval), std::to_string(r.crashes),
-                 r.fired.empty() ? "-" : joined(r.fired, ","),
+                 r.fired.empty() ? "-" : joined(r.fired),
                  format_seconds(r.clock_s),
                  format_fixed(r.overhead, 3),
                  std::to_string(r.replayed), std::to_string(r.commits),
                  std::to_string(r.rounds), r.identical ? "yes" : "NO"});
-      rows.push_back(r);
+      rows.push_back(to_json(r));
       if (!r.identical ||
           r.fired.size() != static_cast<std::size_t>(r.crashes)) {
         std::fprintf(stderr, "FATAL: K=%d crashes=%d %s\n", r.interval,
@@ -269,6 +255,11 @@ int main(int argc, char** argv) {
     }
   }
   t.print(std::cout);
-  write_json(json, seed, steps, rows);
-  return 0;
+  bench_json::document doc;
+  doc.member("bench", bench_json::string("ablation_recovery"))
+      .member("ranks", bench_json::integer(kRanks))
+      .member("seed", bench_json::integer(seed))
+      .member("steps", bench_json::integer(steps))
+      .rows("rows", rows);
+  return doc.write(json) ? 0 : 1;
 }

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/timer.hpp"
@@ -177,41 +178,15 @@ bool bit_identical(const swm_out& got, const swm_out& want) {
   return true;
 }
 
-void write_rows(std::FILE* f, std::span<const row> rows) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"transport\": \"%s\", \"setup_s\": %.6e, "
-        "\"p2p_latency_s\": %.6e, \"p2p_bandwidth_Bps\": %.6e, "
-        "\"allreduce_s\": %.6e, \"swm_step_s\": %.6e, "
-        "\"bit_identical\": %s, \"vclock_equal\": %s}%s\n",
-        r.name.c_str(), r.setup_s, r.latency_s, r.bandwidth, r.allreduce_s,
-        r.swm_step_s, r.identical ? "true" : "false",
-        r.vclock ? "true" : "false", i + 1 < rows.size() ? "," : "");
-  }
-}
-
-void write_json(const std::string& path, int steps,
-                const std::vector<row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_transport\",\n");
-  std::fprintf(f, "  \"ranks\": %d,\n  \"swm_steps\": %d,\n  \"rows\": [\n",
-               kRanks, steps);
-  write_rows(f, rows);
-  std::fprintf(f,
-               "  ],\n  \"frozen_note\": \"simulated: the retired in-process "
-               "mailbox transport, bit-identical to shm, as last measured "
-               "(one sample, 4-core AVX-512 Xeon guest, Release); not "
-               "regenerated\",\n  \"frozen_rows\": [\n");
-  write_rows(f, frozen_rows);
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nWrote %s\n", path.c_str());
+bench_json::value to_json(const row& r) {
+  using namespace bench_json;
+  return object({{"transport", string(r.name)}, {"setup_s", sci(r.setup_s)},
+                 {"p2p_latency_s", sci(r.latency_s)},
+                 {"p2p_bandwidth_Bps", sci(r.bandwidth)},
+                 {"allreduce_s", sci(r.allreduce_s)},
+                 {"swm_step_s", sci(r.swm_step_s)},
+                 {"bit_identical", boolean(r.identical)},
+                 {"vclock_equal", boolean(r.vclock)}});
 }
 
 }  // namespace
@@ -245,7 +220,7 @@ int main(int argc, char** argv) {
   seeder.seed_random_eddies(11, 0.5);
   const swm::state<double> init = seeder.prognostic();
 
-  std::vector<row> rows;
+  std::vector<bench_json::value> rows;
   swm_out oracle;
   table t({"transport", "setup", "p2p 8B", "p2p 1MiB GB/s",
            "allreduce 32KiB", "swm ms/step", "bit-identical", "vclock"});
@@ -274,7 +249,7 @@ int main(int argc, char** argv) {
                format_seconds(r.allreduce_s),
                format_fixed(r.swm_step_s * 1e3, 3),
                r.identical ? "yes" : "NO", r.vclock ? "==" : "DIFFERS"});
-    rows.push_back(r);
+    rows.push_back(to_json(r));
     if (!r.identical || !r.vclock) {
       std::fprintf(stderr, "FATAL: transport %s diverged from shm\n",
                    r.name.c_str());
@@ -283,6 +258,19 @@ int main(int argc, char** argv) {
     }
   }
   t.print(std::cout);
-  write_json(json, steps, rows);
-  return 0;
+
+  std::vector<bench_json::value> frozen;
+  for (const row& r : frozen_rows) frozen.push_back(to_json(r));
+  bench_json::document doc;
+  doc.member("bench", bench_json::string("ablation_transport"))
+      .member("ranks", bench_json::integer(kRanks))
+      .member("swm_steps", bench_json::integer(steps))
+      .rows("rows", rows)
+      .member("frozen_note",
+              bench_json::string(
+                  "simulated: the retired in-process mailbox transport, "
+                  "bit-identical to shm, as last measured (one sample, "
+                  "4-core AVX-512 Xeon guest, Release); not regenerated"))
+      .rows("frozen_rows", frozen);
+  return doc.write(json) ? 0 : 1;
 }

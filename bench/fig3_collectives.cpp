@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
@@ -23,17 +24,9 @@ using namespace tfx::imb;
 
 namespace {
 
-struct json_row {
-  const char* panel = "";
-  std::size_t bytes = 0;
-  double mpi_jl_s = 0;
-  double imb_c_s = 0;
-  double imb_c_contended_s = 0;
-};
-
 void panel(const char* title, collective_kind kind,
            const bench_config& config, unsigned hi,
-           std::vector<json_row>& json_rows) {
+           std::vector<bench_json::value>& json_rows) {
   const auto place = fugaku_fig3_placement();
   const auto sizes = power_of_two_sizes(2, hi);
   const auto jl = run_collective(kind, mpi_jl, config, place, sizes);
@@ -51,33 +44,15 @@ void panel(const char* title, collective_kind kind,
                format_fixed(jl[i].latency_s / ic[i].latency_s, 3),
                format_seconds(cc[i].latency_s),
                format_fixed(cc[i].latency_s / ic[i].latency_s, 2)});
-    json_rows.push_back({title, sizes[i], jl[i].latency_s, ic[i].latency_s,
-                         cc[i].latency_s});
+    json_rows.push_back(bench_json::object(
+        {{"panel", bench_json::string(title)},
+         {"bytes", bench_json::integer(sizes[i])},
+         {"mpi_jl_s", bench_json::sci(jl[i].latency_s)},
+         {"imb_c_s", bench_json::sci(ic[i].latency_s)},
+         {"imb_c_contended_s", bench_json::sci(cc[i].latency_s)}}));
   }
   std::printf("\n== Fig. 3 panel: %s, 1536 ranks / 384 nodes ==\n", title);
   t.print(std::cout);
-}
-
-void write_json(const std::string& path, const std::vector<json_row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"fig3_collectives\",\n");
-  std::fprintf(f, "  \"ranks\": 1536,\n  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"panel\": \"%s\", \"bytes\": %zu, "
-                 "\"mpi_jl_s\": %.6e, \"imb_c_s\": %.6e, "
-                 "\"imb_c_contended_s\": %.6e}%s\n",
-                 r.panel, r.bytes, r.mpi_jl_s, r.imb_c_s, r.imb_c_contended_s,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nWrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -102,11 +77,14 @@ int main(int argc, char** argv) {
   std::puts("the link-level fabric model: near 1x for Allreduce, a cliff");
   std::puts("for the single-sink Gatherv.");
 
-  std::vector<json_row> rows;
+  std::vector<bench_json::value> rows;
   const bench_config config;
   panel("MPI_Allreduce", collective_kind::allreduce, config, hi, rows);
   panel("MPI_Gatherv", collective_kind::gatherv, config, hi, rows);
   panel("MPI_Reduce", collective_kind::reduce, config, hi, rows);
-  write_json(json, rows);
-  return 0;
+  bench_json::document doc;
+  doc.member("bench", bench_json::string("fig3_collectives"))
+      .member("ranks", bench_json::integer(1536))
+      .rows("rows", rows);
+  return doc.write(json) ? 0 : 1;
 }
