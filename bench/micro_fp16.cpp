@@ -1,112 +1,101 @@
-// Microbenchmarks of the software Float16 itself (google-benchmark):
-// conversion and arithmetic cost on the host. These numbers quantify
+// Microbenchmarks of the software Float16 itself: conversion and
+// arithmetic cost on the host, in ns per op (core/timer's measure():
+// calibrated batches, the fastest of seven). These numbers quantify
 // why the performance figures use the machine model rather than host
 // wall-clock for Float16 (DESIGN.md § 2): every half op is a rounding
 // routine here, while A64FX executes it in one SIMD lane.
 
-#include <benchmark/benchmark.h>
-
+#include <bit>
+#include <cstdio>
+#include <iostream>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/table.hpp"
+#include "core/timer.hpp"
+#include "core/units.hpp"
 #include "fp/float16.hpp"
 #include "fp/rounding.hpp"
 
+using namespace tfx;
 using tfx::fp::float16;
 
 namespace {
 
-std::vector<float16> random_halves(std::size_t n, std::uint64_t seed) {
-  tfx::xoshiro256 rng(seed);
-  std::vector<float16> v(n);
+constexpr std::size_t kOperands = 4096;
+
+std::vector<float16> random_halves(std::uint64_t seed) {
+  xoshiro256 rng(seed);
+  std::vector<float16> v(kOperands);
   for (auto& x : v) x = float16(rng.uniform(0.1, 4.0));
   return v;
 }
 
-void bench_f32_to_f16(benchmark::State& state) {
-  tfx::xoshiro256 rng(1);
-  std::vector<float> xs(4096);
-  for (auto& x : xs) x = static_cast<float>(rng.uniform(-1e4, 1e4));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tfx::fp::f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(
-            xs[i++ & 4095])));
-  }
+template <typename T>
+std::vector<T> random_values(std::uint64_t seed, double lo, double hi) {
+  xoshiro256 rng(seed);
+  std::vector<T> v(kOperands);
+  for (auto& x : v) x = static_cast<T>(rng.uniform(lo, hi));
+  return v;
 }
 
-void bench_f64_to_f16(benchmark::State& state) {
-  tfx::xoshiro256 rng(2);
-  std::vector<double> xs(4096);
-  for (auto& x : xs) x = rng.uniform(-1e4, 1e4);
+/// Nanoseconds per `op(k)`, cycling k over the operand arrays. Every
+/// result passes through an empty asm statement that claims to read
+/// it, so the compiler must compute it and cannot fold the loop away.
+template <typename Op>
+double ns_per_op(Op op) {
   std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tfx::fp::f64_to_f16_bits(xs[i++ & 4095]));
-  }
-}
-
-void bench_f16_add(benchmark::State& state) {
-  const auto a = random_halves(4096, 3);
-  const auto b = random_halves(4096, 4);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t k = i++ & 4095;
-    benchmark::DoNotOptimize((a[k] + b[k]).bits());
-  }
-}
-
-void bench_f16_mul(benchmark::State& state) {
-  const auto a = random_halves(4096, 5);
-  const auto b = random_halves(4096, 6);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t k = i++ & 4095;
-    benchmark::DoNotOptimize((a[k] * b[k]).bits());
-  }
-}
-
-void bench_f16_muladd(benchmark::State& state) {
-  const auto a = random_halves(4096, 7);
-  const auto b = random_halves(4096, 8);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t k = i++ & 4095;
-    benchmark::DoNotOptimize(muladd(a[k], b[k], a[k]).bits());
-  }
-}
-
-void bench_f16_fma_exact(benchmark::State& state) {
-  const auto a = random_halves(4096, 9);
-  const auto b = random_halves(4096, 10);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t k = i++ & 4095;
-    benchmark::DoNotOptimize(fma(a[k], b[k], a[k]).bits());
-  }
-}
-
-void bench_float_add_baseline(benchmark::State& state) {
-  tfx::xoshiro256 rng(11);
-  std::vector<float> a(4096), b(4096);
-  for (std::size_t k = 0; k < 4096; ++k) {
-    a[k] = static_cast<float>(rng.uniform(0.1, 4.0));
-    b[k] = static_cast<float>(rng.uniform(0.1, 4.0));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t k = i++ & 4095;
-    benchmark::DoNotOptimize(a[k] + b[k]);
-  }
+  const auto t = measure([&] {
+    const auto r = op(i++ & (kOperands - 1));
+    asm volatile("" : : "r,m"(r) : "memory");
+  });
+  return t.min() * 1e9;
 }
 
 }  // namespace
 
-BENCHMARK(bench_f32_to_f16);
-BENCHMARK(bench_f64_to_f16);
-BENCHMARK(bench_f16_add);
-BENCHMARK(bench_f16_mul);
-BENCHMARK(bench_f16_muladd);
-BENCHMARK(bench_f16_fma_exact);
-BENCHMARK(bench_float_add_baseline);
+int main() {
+  std::puts("Software Float16 on the host: ns per operation.");
 
-BENCHMARK_MAIN();
+  const auto f32 = random_values<float>(1, -1e4, 1e4);
+  const auto f64 = random_values<double>(2, -1e4, 1e4);
+  const auto add_a = random_halves(3), add_b = random_halves(4);
+  const auto mul_a = random_halves(5), mul_b = random_halves(6);
+  const auto mad_a = random_halves(7), mad_b = random_halves(8);
+  const auto fma_a = random_halves(9), fma_b = random_halves(10);
+  const auto fa = random_values<float>(11, 0.1, 4.0);
+  const auto fb = random_values<float>(12, 0.1, 4.0);
+
+  const double base =
+      ns_per_op([&](std::size_t k) { return fa[k] + fb[k]; });
+  const struct {
+    const char* name;
+    double ns;
+  } rows[] = {
+      {"f32 -> f16", ns_per_op([&](std::size_t k) {
+         return fp::f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(f32[k]));
+       })},
+      {"f64 -> f16",
+       ns_per_op([&](std::size_t k) { return fp::f64_to_f16_bits(f64[k]); })},
+      {"f16 add", ns_per_op([&](std::size_t k) {
+         return (add_a[k] + add_b[k]).bits();
+       })},
+      {"f16 mul", ns_per_op([&](std::size_t k) {
+         return (mul_a[k] * mul_b[k]).bits();
+       })},
+      {"f16 muladd", ns_per_op([&](std::size_t k) {
+         return muladd(mad_a[k], mad_b[k], mad_a[k]).bits();
+       })},
+      {"f16 fma (exact)", ns_per_op([&](std::size_t k) {
+         return fma(fma_a[k], fma_b[k], fma_a[k]).bits();
+       })},
+      {"float add (baseline)", base},
+  };
+
+  table t({"operation", "ns/op", "x float add"});
+  for (const auto& r : rows) {
+    t.add_row({r.name, format_fixed(r.ns, 2), format_fixed(r.ns / base, 1)});
+  }
+  t.print(std::cout);
+  return 0;
+}
