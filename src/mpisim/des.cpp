@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "core/contracts.hpp"
 #include "mpisim/obs_events.hpp"
@@ -41,14 +40,12 @@ struct wire_node {
   bool poison;  ///< the sender exhausted its retries
 };
 
-// One (src,dst) pair that the program actually uses. next_seq and
-// tx_bytes fold the seed's chan_seq map and dense p*p byte-counter
-// matrix (128 MB at 4096 ranks) into the same cache line as the FIFO.
+// One (src,dst) pair that the program actually uses. next_seq folds
+// the seed's chan_seq map into the same cache line as the FIFO.
 struct channel_state {
   std::int32_t head = -1;
   std::int32_t tail = -1;
   std::uint64_t next_seq = 0;
-  std::uint64_t tx_bytes = 0;
 };
 
 }  // namespace
@@ -206,9 +203,10 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   // Observability: all ranks are simulated on this one host thread,
   // but events carry track == rank and the *virtual* clock, so the DES
   // trace is bit-reproducible and comparable record-for-record with
-  // the threaded runtime's (tests/obs_trace_test.cpp). tx byte
-  // counters flush from the channel table at the end.
+  // the threaded runtime's (tests/obs_trace_test.cpp). The delivered
+  // byte total flushes at the end.
   const bool traced = tfx::obs::active();
+  std::uint64_t tx_bytes = 0;
   std::size_t done = 0;
   for (int r = 0; r < p; ++r) {
     if (prog.ranks[static_cast<std::size_t>(r)].empty()) ++done;
@@ -268,9 +266,7 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
               progressed = true;
               break;
             }
-            if (traced) {
-              channels[static_cast<std::size_t>(chan)].tx_bytes += op.bytes;
-            }
+            tx_bytes += op.bytes;
             // The delivered copy is the one that occupies the fabric;
             // lost attempts died at the injection port.
             const double depart =
@@ -284,9 +280,7 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
             port = inject_start +
                    serialization_seconds(net, place, r, op.peer, op.bytes);
             obs_ev::emit_vanilla_send(r, op.peer, inject_start, op.bytes);
-            if (traced) {
-              channels[static_cast<std::size_t>(chan)].tx_bytes += op.bytes;
-            }
+            tx_bytes += op.bytes;
             const double depart =
                 contended ? route_depart(r, op.peer, op.bytes, inject_start)
                           : inject_start;
@@ -364,18 +358,9 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   }
   if (traced) {
     // Same metric names as communicator::flush_obs, so a threaded run
-    // and its DES twin produce comparable registry contents. The
-    // registry keys counters by name, so the channels' first-seen order
-    // does not reach it.
-    char name[48];
-    for (std::size_t c = 0; c < chan_keys.size(); ++c) {
-      const std::uint64_t bytes = channels[c].tx_bytes;
-      if (bytes == 0) continue;
-      const int src = static_cast<int>(chan_keys[c] / up);
-      const int dst = static_cast<int>(chan_keys[c] % up);
-      std::snprintf(name, sizeof name, "net.tx_bytes.%d->%d", src, dst);
-      tfx::obs::metric_add(name, bytes);
-    }
+    // and its DES twin produce comparable registry contents. Per-pair
+    // bytes are in the net.send events (track src, a = dst, b = bytes).
+    tfx::obs::metric_add("net.tx_bytes", tx_bytes);
     tfx::obs::metric_add("net.sends", result.stats.sends);
     tfx::obs::metric_add("net.attempts", result.stats.attempts);
     tfx::obs::metric_add("net.retries", result.stats.retries);

@@ -1,7 +1,6 @@
 #include "mpisim/runtime.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <exception>
 #include <string>
 #include <thread>
@@ -45,12 +44,6 @@ communicator::communicator(world* w, int rank) : world_(w), rank_(rank) {
     send_seq_.assign(n, 0);
     delivered_.resize(n);
   }
-  // Per-channel byte counters exist only while tracing is on, so an
-  // untraced run stays allocation-identical too (the ctor is the one
-  // permitted warm-up allocation of a traced run).
-  if (tfx::obs::active()) {
-    obs_tx_.assign(static_cast<std::size_t>(world_->size()), 0);
-  }
 }
 
 int communicator::size() const { return world_->size(); }
@@ -76,9 +69,7 @@ void communicator::send_bytes(std::span<const std::byte> data, int dst,
                                            world_->placement(), rank_, dst,
                                            data.size());
   obs_ev::emit_vanilla_send(rank_, dst, inject_start, data.size());
-  if (!obs_tx_.empty()) {
-    obs_tx_[static_cast<std::size_t>(dst)] += data.size();
-  }
+  tx_bytes_ += data.size();
   wire_message msg{rank_, tag, inject_start,
                    std::vector<std::byte>(data.begin(), data.end())};
   world_->transport_->deposit(dst, std::move(msg));
@@ -104,9 +95,7 @@ void communicator::fault_send(std::span<const std::byte> data, int dst,
                   data.size(), seq, clock_, send_port_free_, stats_);
   send_port_free_ = tp.port_free;
   obs_ev::emit_transmit_plan(rank_, dst, seq, data.size(), tp);
-  if (!tp.failed && !obs_tx_.empty()) {
-    obs_tx_[static_cast<std::size_t>(dst)] += data.size();
-  }
+  if (!tp.failed) tx_bytes_ += data.size();
 
   const std::uint64_t sum = fault_plane::checksum(data);
   // Corrupted copies really enter the mailbox (with the *original*
@@ -249,18 +238,11 @@ void communicator::crash(const char* what) {
 }
 
 void communicator::flush_obs() {
-  // Cold path, called once per rank at the end of world::run: fold the
-  // per-channel byte counters and this rank's protocol stats into the
-  // metrics registry (string formatting is fine here - we are out of
-  // every hot loop).
+  // Cold path, called once per rank at the end of world::run: fold
+  // this rank's byte total and protocol stats into the metrics
+  // registry. Per-pair bytes are in the net.send events.
   if (!tfx::obs::active()) return;
-  char name[48];
-  for (std::size_t dst = 0; dst < obs_tx_.size(); ++dst) {
-    if (obs_tx_[dst] == 0) continue;
-    std::snprintf(name, sizeof name, "net.tx_bytes.%d->%d", rank_,
-                  static_cast<int>(dst));
-    tfx::obs::metric_add(name, obs_tx_[dst]);
-  }
+  tfx::obs::metric_add("net.tx_bytes", tx_bytes_);
   tfx::obs::metric_add("net.sends", stats_.sends);
   tfx::obs::metric_add("net.attempts", stats_.attempts);
   tfx::obs::metric_add("net.retries", stats_.retries);

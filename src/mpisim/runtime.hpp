@@ -341,8 +341,8 @@ class communicator {
                          const fault_plane& faults);
   /// Broadcast a crash notice and die with comm_error.
   [[noreturn]] void crash(const char* what);
-  /// Fold per-channel byte counters + protocol stats into the metrics
-  /// registry (end of world::run; no-op unless tracing is on).
+  /// Fold the byte total + protocol stats into the metrics registry
+  /// (end of world::run; no-op unless tracing is on).
   void flush_obs();
 
   world* world_;
@@ -362,9 +362,9 @@ class communicator {
   bool crashed_ = false;
   bool fail_stopped_ = false;  ///< this rank itself died (not a peer)
 
-  /// Observability: bytes successfully posted per destination. Empty
-  /// (and untouched) unless tracing was on when the rank started.
-  std::vector<std::uint64_t> obs_tx_;
+  /// Observability: bytes of every send not lost for good, flushed as
+  /// `net.tx_bytes` when tracing is on.
+  std::uint64_t tx_bytes_ = 0;
 };
 
 /// A set of ranks with mailboxes, a placement, and a network model.

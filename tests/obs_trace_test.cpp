@@ -199,7 +199,7 @@ TEST_P(GoldenTrace, ThreadedMatchesDes) {
     threaded_events = obs::collect();
     threaded_stats = w.last_fault_report().stats;
     threaded_sends = counter_value("net.sends");
-    threaded_tx = counter_value("net.tx_bytes.0->1");
+    threaded_tx = counter_value("net.tx_bytes");
     EXPECT_EQ(obs::dropped(), 0u);
   }
 
@@ -213,11 +213,21 @@ TEST_P(GoldenTrace, ThreadedMatchesDes) {
     // threaded run and its DES twin fill comparable registries.
     EXPECT_EQ(counter_value("net.sends"), threaded_sends);
     EXPECT_EQ(counter_value("net.sends"), des.stats.sends);
-    EXPECT_EQ(counter_value("net.tx_bytes.0->1"), threaded_tx);
+    EXPECT_EQ(counter_value("net.tx_bytes"), threaded_tx);
     EXPECT_EQ(obs::dropped(), 0u);
   }
   EXPECT_EQ(threaded_stats, des.stats);
   EXPECT_EQ(threaded_sends, threaded_stats.sends);
+  // The byte total is the sum of the net.send events' bytes (b), from
+  // which any per-pair figure can be derived.
+  std::uint64_t sent_bytes = 0;
+  for (const auto& e : des_events) {
+    if (e.dom == obs::domain::net && std::strcmp(e.name, "net.send") == 0) {
+      sent_bytes += e.b;
+    }
+  }
+  EXPECT_GT(sent_bytes, 0u);
+  EXPECT_EQ(threaded_tx, sent_bytes);
 
   std::size_t total = 0;
   for (int r = 0; r < p; ++r) {
