@@ -43,8 +43,7 @@ double host_seconds_per_step(int nx, int ny, int steps) {
 
 int main(int argc, char** argv) {
   cli args(argc, argv,
-           {{"host", "also measure host float/double wall-clock"},
-            {"host-steps", "steps for the host measurement (default 6)"}});
+           {{"host-steps", "steps for the host measurement (default 6)"}});
   if (args.wants_help()) {
     std::fputs(args.help().c_str(), stderr);
     return 1;
@@ -86,18 +85,16 @@ int main(int argc, char** argv) {
               "(paper: ~5%%)\n",
               100.0 * comp_overhead);
 
-  if (!args.has("no-host")) {
-    const int nx = 1024, ny = 512;  // large enough to stream from DRAM
-    const double td = host_seconds_per_step<double>(nx, ny, host_steps);
-    const double tf = host_seconds_per_step<float>(nx, ny, host_steps);
-    std::printf(
-        "\nHost sanity check (%dx%d, %d steps): double %s/step, float "
-        "%s/step, ratio %.2fx. The float advantage direction carries over "
-        "to the host; its magnitude depends on the build machine's "
-        "compute/bandwidth balance, which is why the modeled numbers "
-        "above are the instrument (DESIGN.md 2).\n",
-        nx, ny, host_steps, format_seconds(td).c_str(),
-        format_seconds(tf).c_str(), td / tf);
-  }
+  const int nx = 1024, ny = 512;  // large enough to stream from DRAM
+  const double td = host_seconds_per_step<double>(nx, ny, host_steps);
+  const double tf = host_seconds_per_step<float>(nx, ny, host_steps);
+  std::printf(
+      "\nHost sanity check (%dx%d, %d steps): double %s/step, float "
+      "%s/step, ratio %.2fx. The float advantage direction carries over "
+      "to the host; its magnitude depends on the build machine's "
+      "compute/bandwidth balance, which is why the modeled numbers "
+      "above are the instrument (DESIGN.md 2).\n",
+      nx, ny, host_steps, format_seconds(td).c_str(),
+      format_seconds(tf).c_str(), td / tf);
   return 0;
 }
