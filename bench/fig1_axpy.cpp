@@ -412,21 +412,20 @@ int main(int argc, char** argv) {
 
   kernels::blas_registry::instance().select_preferred_vectorized();
   table bt({"512 problems", "batched GF/s", "looped GF/s", "speedup"});
+  const auto add_row = [&](std::string label, const batched_result& r) {
+    bt.add_row({std::move(label), format_fixed(r.batched_gflops, 2),
+                format_fixed(r.looped_gflops, 2),
+                format_fixed(r.speedup(), 2)});
+  };
   std::vector<batched_result> gemm, axpy;
   for (const std::size_t mnk : {4, 8, 12, 16}) {
     gemm.push_back(bench_batched_gemm(mnk));
     const std::string d = std::to_string(mnk);
-    bt.add_row({"gemm " + d + "x" + d + "x" + d,
-                format_fixed(gemm.back().batched_gflops, 2),
-                format_fixed(gemm.back().looped_gflops, 2),
-                format_fixed(gemm.back().speedup(), 2)});
+    add_row("gemm " + d + "x" + d + "x" + d, gemm.back());
   }
   for (const std::size_t len : {8, 32, 128}) {
     axpy.push_back(bench_batched_axpy(len));
-    bt.add_row({"axpy len " + std::to_string(len),
-                format_fixed(axpy.back().batched_gflops, 2),
-                format_fixed(axpy.back().looped_gflops, 2),
-                format_fixed(axpy.back().speedup(), 2)});
+    add_row("axpy len " + std::to_string(len), axpy.back());
   }
   std::puts("\n== Batched small problems vs looped dispatched calls ==");
   bt.print(std::cout);

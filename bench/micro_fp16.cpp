@@ -24,13 +24,6 @@ namespace {
 
 constexpr std::size_t kOperands = 4096;
 
-std::vector<float16> random_halves(std::uint64_t seed) {
-  xoshiro256 rng(seed);
-  std::vector<float16> v(kOperands);
-  for (auto& x : v) x = float16(rng.uniform(0.1, 4.0));
-  return v;
-}
-
 template <typename T>
 std::vector<T> random_values(std::uint64_t seed, double lo, double hi) {
   xoshiro256 rng(seed);
@@ -59,10 +52,13 @@ int main() {
 
   const auto f32 = random_values<float>(1, -1e4, 1e4);
   const auto f64 = random_values<double>(2, -1e4, 1e4);
-  const auto add_a = random_halves(3), add_b = random_halves(4);
-  const auto mul_a = random_halves(5), mul_b = random_halves(6);
-  const auto mad_a = random_halves(7), mad_b = random_halves(8);
-  const auto fma_a = random_halves(9), fma_b = random_halves(10);
+  const auto half = [](std::uint64_t seed) {
+    return random_values<float16>(seed, 0.1, 4.0);
+  };
+  const auto add_a = half(3), add_b = half(4);
+  const auto mul_a = half(5), mul_b = half(6);
+  const auto mad_a = half(7), mad_b = half(8);
+  const auto fma_a = half(9), fma_b = half(10);
   const auto fa = random_values<float>(11, 0.1, 4.0);
   const auto fb = random_values<float>(12, 0.1, 4.0);
 
