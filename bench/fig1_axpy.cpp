@@ -372,7 +372,7 @@ int main(int argc, char** argv) {
   std::puts("Expected shape: Julia best peak everywhere; Fujitsu BLAS");
   std::puts("competitive; BLIS behind; OpenBLAS/ARMPL (NEON path) last;");
   std::puts("Float16 only exists for Julia; cache cliffs at L1/L2.");
-  std::puts("The host column is software Float16 on this machine, far");
+  std::puts("The Float16 host column times software half precision, far");
   std::puts("below float: the cost the model corrects for (DESIGN.md § 2).");
   std::printf("Host: %s, preferred vectorized backend %s.\n",
               std::string(arch::host_features().isa).c_str(),
