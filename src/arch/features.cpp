@@ -1,5 +1,7 @@
 #include "arch/features.hpp"
 
+#include "fp/float16.hpp"
+
 #if defined(__aarch64__) && defined(__linux__)
 #include <sys/auxv.h>
 #ifndef HWCAP_SVE
@@ -13,6 +15,7 @@ namespace {
 
 cpu_features detect() {
   cpu_features f;
+  f.f16c = fp::hardware_f16_conversion();  // the probe fp selected with
 #if defined(__x86_64__) || defined(_M_X64)
   f.sse2 = true;  // x86-64 baseline
   f.max_vector_bits = 128;

@@ -31,6 +31,8 @@ struct cpu_features {
   bool avx512f = false;  ///< 512-bit vectors
   bool neon = false;     ///< AArch64 baseline ASIMD
   bool sve = false;      ///< scalable vectors (the A64FX's ISA)
+  /// float16 converts through F16C (x86-64; `fp::hardware_f16_conversion`).
+  bool f16c = false;
 
   /// Widest vector width (bits) the host can execute natively. One of
   /// 128 / 256 / 512. The fixed-width backends remain *runnable* above

@@ -4,7 +4,34 @@
 
 #include "fp/bfloat16.hpp"
 
+#if TFX_FP_F16C_ASM
+#include <cpuid.h>
+#endif
+
 namespace tfx::fp {
+
+bool hardware_f16_conversion() noexcept {
+  static const bool usable = [] {
+#if TFX_FP_F16C_ASM
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+    // F16C instructions are VEX-encoded: they need the CPU's AVX and
+    // the OS's consent to AVX state (OSXSAVE, then XCR0 bits 1 and 2).
+    constexpr unsigned needed = bit_OSXSAVE | bit_AVX | bit_F16C;
+    if ((ecx & needed) != needed) return false;
+    unsigned xcr0 = 0, xcr0_high = 0;
+    asm volatile("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+    return (xcr0 & 0x6u) == 0x6u;
+#else
+    return false;
+#endif
+  }();
+  return usable;
+}
+
+namespace detail {
+const bool f16c_enabled = hardware_f16_conversion();
+}  // namespace detail
 
 std::ostream& operator<<(std::ostream& os, float16 h) {
   return os << static_cast<float>(h);

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file float16.hpp
-/// Software IEEE-754 binary16 with Julia's operational semantics.
+/// IEEE-754 binary16 with Julia's operational semantics.
 ///
 /// Every arithmetic operation extends the operands to binary32 (exact),
 /// computes there, and rounds the result back to binary16 — the exact
@@ -10,10 +10,35 @@
 /// native binary16 hardware (2p+2 theorem), so numerical results match
 /// what the paper measured on A64FX.
 ///
+/// The two conversions run on one of two paths, chosen once per
+/// process (`hardware_f16_conversion()`):
+///
+///  * on x86-64 hosts whose CPU has F16C and whose OS has enabled AVX
+///    state, through the F16C instructions, inlined as `VCVTPH2PS`
+///    (widen) and `VCVTPS2PH` (narrow) into the caller's loop;
+///  * on every other CPU (aarch64 included), through the constexpr
+///    routines of rounding.hpp, which also stay the tests' reference.
+///
+/// The two paths give the same bits for every input:
+///
+///  * widening is exact on both, and both quiet a signalling NaN by
+///    setting the top mantissa bit and keep the payload;
+///  * `VCVTPS2PH` takes its rounding mode from the immediate, and the
+///    immediate 0 is round-to-nearest-even whatever MXCSR.RC says;
+///  * MXCSR.FTZ does not apply to `VCVTPS2PH`, which produces binary16
+///    subnormals. MXCSR.DAZ reads a binary32 subnormal input as a zero
+///    of the same sign, and every binary32 subnormal rounds to that
+///    zero anyway;
+///  * a NaN narrows to the same sign, the quiet bit and the top ten
+///    payload bits on both (rounding.hpp's NaN rule).
+///
 /// The result of each operation passes through `canonicalize()`, which
 /// applies the thread's flush-to-zero mode and maintains the event
-/// counters used by the A64FX performance model (see fpenv.hpp).
+/// counters used by the A64FX performance model (see fpenv.hpp). It
+/// runs after either path, so FTZ and the counters do not depend on
+/// which one converted.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iosfwd>
@@ -23,7 +48,67 @@
 #include "fp/fpenv.hpp"
 #include "fp/rounding.hpp"
 
+/// 1 where the F16C path is compiled in: x86-64 with GNU inline asm.
+/// The asm needs no -mf16c, so a baseline x86-64 build carries it.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TFX_FP_F16C_ASM 1
+#else
+#define TFX_FP_F16C_ASM 0
+#endif
+
 namespace tfx::fp {
+
+/// True when this process converts float16 through F16C, false where it
+/// runs the rounding.hpp routines. Probed once per process, on first
+/// call: CPUID (F16C, AVX, OSXSAVE) and XCR0 (XMM and YMM state enabled
+/// by the OS). Both paths give the same bits.
+bool hardware_f16_conversion() noexcept;
+
+namespace detail {
+
+/// `hardware_f16_conversion()`, copied during the fp library's static
+/// initialization so that the conversions below test a plain load. It
+/// reads false before that, which selects the software routines and so
+/// the same bits.
+extern const bool f16c_enabled;
+
+#if TFX_FP_F16C_ASM
+/// binary16 -> binary32 through VCVTPH2PS. The VMOVD from a
+/// general register zeroes the three unused lanes. Callers check
+/// `f16c_enabled`.
+inline float vcvtph2ps(std::uint16_t h) {
+  float f = 0;
+  asm("vmovd %1, %0\n\tvcvtph2ps %0, %0"
+      : "=x"(f)
+      : "r"(static_cast<std::uint32_t>(h)));
+  return f;
+}
+
+/// binary32 -> binary16 through VCVTPS2PH with immediate rounding 0
+/// (round-to-nearest-even, MXCSR.RC ignored). Only lane 0 is kept.
+/// Callers check `f16c_enabled`.
+inline std::uint16_t vcvtps2ph(float f) {
+  float h = 0;
+  asm("vcvtps2ph $0, %1, %0" : "=x"(h) : "x"(f));
+  return static_cast<std::uint16_t>(std::bit_cast<std::uint32_t>(h));
+}
+#endif
+
+inline float f16_to_f32(std::uint16_t h) {
+#if TFX_FP_F16C_ASM
+  if (f16c_enabled) return vcvtph2ps(h);
+#endif
+  return std::bit_cast<float>(f16_bits_to_f32_bits(h));
+}
+
+inline std::uint16_t f32_to_f16(float f) {
+#if TFX_FP_F16C_ASM
+  if (f16c_enabled) return vcvtps2ph(f);
+#endif
+  return f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(f));
+}
+
+}  // namespace detail
 
 class float16 {
  public:
@@ -31,11 +116,14 @@ class float16 {
   constexpr float16() = default;
 
   /// Rounding conversions from the built-in floating types.
-  explicit float16(float f)
-      : bits_(f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(f))) {
+  explicit float16(float f) : bits_(detail::f32_to_f16(f)) { canonicalize(); }
+  /// `f64_to_f16_bits` with its last step on the selected path: the
+  /// round-to-odd binary32 (a NaN passes through it unchanged) rounds
+  /// once to binary16.
+  explicit float16(double d)
+      : bits_(detail::f32_to_f16(f64_to_f32_round_to_odd(d))) {
     canonicalize();
   }
-  explicit float16(double d) : bits_(f64_to_f16_bits(d)) { canonicalize(); }
 
   /// Conversion from integers (exact for |i| <= 2048, rounded above).
   template <typename Int, typename = std::enable_if_t<std::is_integral_v<Int>>>
@@ -52,9 +140,7 @@ class float16 {
   [[nodiscard]] constexpr std::uint16_t bits() const { return bits_; }
 
   /// Exact widening conversions.
-  explicit operator float() const {
-    return std::bit_cast<float>(f16_bits_to_f32_bits(bits_));
-  }
+  explicit operator float() const { return detail::f16_to_f32(bits_); }
   explicit operator double() const { return static_cast<float>(*this); }
 
   // -- classification ------------------------------------------------
@@ -119,17 +205,22 @@ class float16 {
   /// Apply the thread FTZ policy and update event counters. Called on
   /// every freshly rounded result (i.e., from the converting
   /// constructors, which every arithmetic operator funnels through).
+  /// A normal result, the common case, costs one test of the exponent.
   void canonicalize() {
-    if (is_subnormal()) {
+    const unsigned exponent = bits_ & 0x7c00u;
+    if (exponent - 0x0400u < 0x7800u) [[likely]] return;  // 1..30: normal
+    const bool mantissa = (bits_ & 0x3ffu) != 0;
+    if (exponent == 0) {
+      if (!mantissa) return;  // signed zero
       auto& c = counters();
       ++c.f16_subnormal_results;
       if (current_ftz_mode() == ftz_mode::flush) {
         ++c.f16_flushed_results;
         bits_ &= 0x8000u;  // signed zero
       }
-    } else if (isinf()) {
+    } else if (!mantissa) {
       ++counters().f16_overflows;
-    } else if (isnan()) {
+    } else {
       ++counters().f16_nans;
     }
   }

@@ -24,6 +24,18 @@
 ///   software Float16 (the fpext/fptrunc scheme quoted in § IV-C of the
 ///   paper) agrees with A64FX hardware, and why this library's results
 ///   are faithful to the machine we are simulating.
+///
+/// On x86-64 hosts with F16C, `float16` converts through `VCVTPH2PS`
+/// and `VCVTPS2PH` instead (float16.hpp), and these routines remain the
+/// path for every other CPU and the tests' reference. The two agree bit
+/// for bit. The binary16 -> binary32 direction is exact on both.
+/// `VCVTPS2PH` with immediate 0 rounds to nearest even whatever
+/// MXCSR.RC holds, so it performs the same single rounding as
+/// `f32_bits_to_f16_bits`, and the 2p+2 argument above applies to it
+/// unchanged. MXCSR.DAZ turns a binary32 subnormal input into a zero of
+/// its sign, which is where the routine below rounds every such input.
+/// A NaN keeps its sign and top ten payload bits and gains the quiet
+/// bit on both paths.
 
 #include <bit>
 #include <cstdint>

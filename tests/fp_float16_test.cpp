@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "arch/features.hpp"
 #include "core/rng.hpp"
 #include "fp/float16.hpp"
 #include "fp/rounding.hpp"
@@ -217,3 +221,131 @@ TEST_P(Float16ReciprocalSweep, MulByReciprocalNearOne) {
 
 INSTANTIATE_TEST_SUITE_P(NormalRange, Float16ReciprocalSweep,
                          ::testing::Range(-13, 15));
+
+// ---- operators against a software reference ------------------------
+// float16 converts through F16C where the host has it (float16.hpp).
+// This reference builds every operation from the rounding.hpp routines
+// and the FTZ/counter policy written out, and the operators must give
+// its bits and its counters in both FTZ modes, on whichever path runs.
+
+namespace {
+
+std::string hex(std::uint16_t bits) {
+  char buf[8];
+  std::snprintf(buf, sizeof buf, "%04x", static_cast<unsigned>(bits));
+  return buf;
+}
+
+struct software_reference {
+  fp::ftz_mode mode;
+  fp::fp_counters counts{};
+
+  static float widen(float16 x) {
+    return std::bit_cast<float>(fp::f16_bits_to_f32_bits(x.bits()));
+  }
+  std::uint16_t canonical(std::uint16_t bits) {
+    const float16 x = float16::from_bits(bits);
+    if (x.is_subnormal()) {
+      ++counts.f16_subnormal_results;
+      if (mode == fp::ftz_mode::flush) {
+        ++counts.f16_flushed_results;
+        return static_cast<std::uint16_t>(bits & 0x8000u);
+      }
+    } else if (x.isinf()) {
+      ++counts.f16_overflows;
+    } else if (x.isnan()) {
+      ++counts.f16_nans;
+    }
+    return bits;
+  }
+  std::uint16_t round(float f) {
+    return canonical(fp::f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(f)));
+  }
+  std::uint16_t round(double d) { return canonical(fp::f64_to_f16_bits(d)); }
+};
+
+void expect_same_counters(const fp::fp_counters& got,
+                          const fp::fp_counters& want) {
+  EXPECT_EQ(got.f16_subnormal_results, want.f16_subnormal_results);
+  EXPECT_EQ(got.f16_flushed_results, want.f16_flushed_results);
+  EXPECT_EQ(got.f16_overflows, want.f16_overflows);
+  EXPECT_EQ(got.f16_nans, want.f16_nans);
+}
+
+/// A double near the binary16 grid: a binary16 value, or the midpoint
+/// of two neighbours, nudged by a few binary64 ulps or by 2^-30 of its
+/// size (the double-rounding trap of Fp16FromDouble), or a NaN.
+double near_grid_double(tfx::xoshiro256& rng) {
+  const auto bits = static_cast<std::uint16_t>(rng.bounded(0x10000));
+  double x = static_cast<double>(float16::from_bits(bits));
+  if (!std::isfinite(x)) return x;
+  const double next = static_cast<double>(
+      float16::from_bits(static_cast<std::uint16_t>(bits + 1)));
+  switch (rng.bounded(4)) {
+    case 0: return x;
+    case 1: x = std::isfinite(next) ? 0.5 * (x + next) : 65520.0; break;
+    case 2: return std::bit_cast<double>(
+        std::bit_cast<std::uint64_t>(x) + rng.bounded(9) - 4);
+    default: x = std::isfinite(next) ? 0.5 * (x + next) : 65520.0;
+      x += std::ldexp(x, -30) * (rng.bounded(2) ? 1.0 : -1.0);
+      break;
+  }
+  return (bits & 0x8000u) ? -std::abs(x) : std::abs(x);
+}
+
+}  // namespace
+
+TEST(Float16Hardware, ProbeAgreesWithTheCompilerAndArch) {
+  // The CPUID/XCR0 probe against GCC's own detection, which also
+  // requires the OS's AVX state; arch reports the probe's answer.
+#if TFX_FP_F16C_ASM
+  __builtin_cpu_init();
+  EXPECT_EQ(fp::hardware_f16_conversion(),
+            __builtin_cpu_supports("f16c") && __builtin_cpu_supports("avx"));
+#else
+  EXPECT_FALSE(fp::hardware_f16_conversion());
+#endif
+  EXPECT_EQ(tfx::arch::host_features().f16c, fp::hardware_f16_conversion());
+  EXPECT_EQ(fp::detail::f16c_enabled, fp::hardware_f16_conversion());
+}
+
+TEST(Float16Hardware, OperatorsMatchSoftwareReferenceInBothFtzModes) {
+  for (const auto mode : {fp::ftz_mode::preserve, fp::ftz_mode::flush}) {
+    SCOPED_TRACE(mode == fp::ftz_mode::flush ? "flush" : "preserve");
+    fp::ftz_guard guard(mode);
+    software_reference ref{mode};
+    fp::counters().reset();
+    tfx::xoshiro256 rng(mode == fp::ftz_mode::flush ? 31 : 37);
+    std::uint64_t mismatches = 0;
+    std::string first;
+    const auto same = [&](const char* op, float16 got, std::uint16_t want) {
+      if (got.bits() != want && mismatches++ == 0) {
+        first = std::string(op) + ": got 0x" + hex(got.bits()) + ", want 0x" + hex(want);
+      }
+    };
+    for (int trial = 0; trial < 100000; ++trial) {
+      // Every pattern class: zeros, subnormals, normals, inf and NaN.
+      const auto a = float16::from_bits(static_cast<std::uint16_t>(rng.bounded(0x10000)));
+      auto b = float16::from_bits(static_cast<std::uint16_t>(rng.bounded(0x10000)));
+      // Given two NaNs, a binary32 op returns either (x86 keeps the first
+      // source, and the compiler may commute + and *), whatever path
+      // converts: keep the payload out of what is compared.
+      if (a.isnan() && b.isnan()) b = a;
+      const float wa = software_reference::widen(a);
+      const float wb = software_reference::widen(b);
+      const std::string ab = " of 0x" + hex(a.bits()) + ", 0x" + hex(b.bits());
+      same(("+" + ab).c_str(), a + b, ref.round(wa + wb));
+      same(("-" + ab).c_str(), a - b, ref.round(wa - wb));
+      same(("*" + ab).c_str(), a * b, ref.round(wa * wb));
+      same(("/" + ab).c_str(), a / b, ref.round(wa / wb));
+      same(("sqrt" + ab).c_str(), fp::sqrt(a), ref.round(std::sqrt(wa)));
+      const double d = near_grid_double(rng);
+      same("float16(double)", float16(d), ref.round(d));
+    }
+    EXPECT_EQ(mismatches, 0u) << "first: " << first;
+    expect_same_counters(fp::counters(), ref.counts);
+    EXPECT_GT(ref.counts.f16_subnormal_results, 0u);
+    EXPECT_GT(ref.counts.f16_overflows, 0u);
+    EXPECT_GT(ref.counts.f16_nans, 0u);
+  }
+}

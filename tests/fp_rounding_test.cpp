@@ -2,7 +2,9 @@
 //
 // The exhaustive suites walk all 65536 binary16 patterns; the rounding
 // suites check round-to-nearest-even at every representable boundary
-// via exactly-representable midpoints.
+// via exactly-representable midpoints. The F16c suites hold the F16C
+// instructions that float16 converts through on x86-64 to these
+// routines, bit for bit, and skip where the host has no F16C.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +12,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "core/rng.hpp"
+#include "fp/float16.hpp"
 #include "fp/rounding.hpp"
+
+#if TFX_FP_F16C_ASM
+#include <xmmintrin.h>
+#endif
 
 namespace fp = tfx::fp;
 
@@ -234,3 +243,139 @@ TEST(Bf16Conversion, BigRangeNoOverflowWhereFloat16Overflows) {
   EXPECT_NE(b & 0x7f80u, 0x7f80u);  // finite
   EXPECT_EQ(fp::f64_to_f16_bits(1e30), 0x7c00u);  // f16: infinity
 }
+
+// ---- F16C against the software routines ------------------------------
+
+namespace {
+
+/// Counts disagreements between the F16C path and the software
+/// routines, and keeps the first one for the failure message.
+struct f16c_check {
+  std::uint64_t mismatches = 0;
+  std::uint32_t first = 0;
+
+  void widen(std::uint16_t h) {
+#if TFX_FP_F16C_ASM
+    const auto hw = std::bit_cast<std::uint32_t>(fp::detail::vcvtph2ps(h));
+    note(hw != fp::f16_bits_to_f32_bits(h), h);
+#else
+    (void)h;
+#endif
+  }
+  void narrow(std::uint32_t x) {
+#if TFX_FP_F16C_ASM
+    const std::uint16_t hw = fp::detail::vcvtps2ph(std::bit_cast<float>(x));
+    note(hw != fp::f32_bits_to_f16_bits(x), x);
+#else
+    (void)x;
+#endif
+  }
+  void note(bool differs, std::uint32_t pattern) {
+    if (differs && mismatches++ == 0) first = pattern;
+  }
+};
+
+#define EXPECT_F16C_AGREES(check)                          \
+  EXPECT_EQ((check).mismatches, 0u)                       \
+      << "first mismatch at input pattern 0x" << std::hex \
+      << (check).first
+
+/// For every pair of adjacent positive binary16 values (lo, hi), the
+/// 65504 -> 65536 step to infinity included: both endpoints, the
+/// binary32 midpoint, the midpoint one binary32 ulp either side, and
+/// one ulp inside each endpoint; then all of it with the sign set.
+std::vector<std::uint32_t> boundary_patterns() {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t bits = 0; bits <= 0x7bffu; ++bits) {
+    const std::uint32_t lo = fp::f16_bits_to_f32_bits(static_cast<std::uint16_t>(bits));
+    const std::uint32_t hi =
+        bits == 0x7bffu ? std::bit_cast<std::uint32_t>(65536.0f)
+                        : fp::f16_bits_to_f32_bits(static_cast<std::uint16_t>(bits + 1));
+    // Exact: both endpoints carry at most 11 significant bits.
+    const auto mid = std::bit_cast<std::uint32_t>(
+        0.5f * (std::bit_cast<float>(lo) + std::bit_cast<float>(hi)));
+    for (const std::uint32_t x : {lo, hi, mid, mid - 1, mid + 1, lo + 1, hi - 1}) {
+      out.push_back(x);
+      out.push_back(x | 0x80000000u);
+    }
+  }
+  return out;
+}
+
+bool has_f16c() { return fp::hardware_f16_conversion(); }
+
+}  // namespace
+
+TEST(F16cConversion, AllWideningsMatchSoftware) {
+  if (!has_f16c()) GTEST_SKIP() << "no F16C on this host";
+  f16c_check check;
+  for (std::uint32_t bits = 0; bits <= 0xffffu; ++bits) {
+    check.widen(static_cast<std::uint16_t>(bits));
+  }
+  EXPECT_F16C_AGREES(check);
+}
+
+TEST(F16cConversion, NarrowingMatchesSoftwareAtEveryBoundary) {
+  if (!has_f16c()) GTEST_SKIP() << "no F16C on this host";
+  f16c_check check;
+  for (const std::uint32_t x : boundary_patterns()) check.narrow(x);
+  EXPECT_F16C_AGREES(check);
+}
+
+TEST(F16cConversion, NanPayloadsZerosAndInfinities) {
+  if (!has_f16c()) GTEST_SKIP() << "no F16C on this host";
+  f16c_check check;
+  // Every combination of the ten mantissa bits binary16 keeps (the
+  // quiet bit and nine payload bits), each with no, the lowest, the
+  // highest or all of the thirteen bits it drops: signalling and quiet
+  // NaNs, payloads that survive and payloads that vanish.
+  for (std::uint32_t kept = 0; kept < 1024u; ++kept) {
+    for (const std::uint32_t dropped : {0u, 1u, 0x1000u, 0x1fffu}) {
+      const std::uint32_t mantissa = (kept << 13) | dropped;
+      if (mantissa == 0) continue;  // infinity
+      check.narrow(0x7f800000u | mantissa);
+      check.narrow(0xff800000u | mantissa);
+    }
+  }
+  for (const float f : {0.0f, std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::max(),
+                        std::numeric_limits<float>::min(),
+                        std::numeric_limits<float>::denorm_min()}) {
+    check.narrow(std::bit_cast<std::uint32_t>(f));
+    check.narrow(std::bit_cast<std::uint32_t>(-f));
+  }
+  EXPECT_F16C_AGREES(check);
+}
+
+TEST(F16cConversion, RandomPatternsMatchSoftware) {
+  if (!has_f16c()) GTEST_SKIP() << "no F16C on this host";
+  tfx::xoshiro256 rng(2024);
+  f16c_check check;
+  for (int i = 0; i < (1 << 20); ++i) {
+    check.narrow(static_cast<std::uint32_t>(rng() >> 32));
+  }
+  EXPECT_F16C_AGREES(check);
+}
+
+#if TFX_FP_F16C_ASM
+TEST(F16cConversion, MxcsrModesChangeNoBits) {
+  // VCVTPS2PH's immediate rounding overrides MXCSR.RC, FTZ does not
+  // apply to it, and DAZ only zeroes binary32 subnormal inputs, which
+  // round to that zero anyway. Set each and rerun both sweeps.
+  if (!has_f16c()) GTEST_SKIP() << "no F16C on this host";
+  const auto patterns = boundary_patterns();
+  const unsigned saved = _mm_getcsr();
+  for (const unsigned mode :
+       {_MM_FLUSH_ZERO_ON | 0x0040u /* DAZ */, unsigned{_MM_ROUND_TOWARD_ZERO},
+        unsigned{_MM_ROUND_UP}, unsigned{_MM_ROUND_DOWN}}) {
+    f16c_check check;
+    _mm_setcsr((saved & ~(_MM_ROUND_MASK | _MM_FLUSH_ZERO_MASK | 0x0040u)) | mode);
+    for (std::uint32_t bits = 0; bits <= 0xffffu; ++bits) {
+      check.widen(static_cast<std::uint16_t>(bits));
+    }
+    for (const std::uint32_t x : patterns) check.narrow(x);
+    _mm_setcsr(saved);
+    EXPECT_F16C_AGREES(check) << " with MXCSR mode bits 0x" << mode;
+  }
+}
+#endif
