@@ -331,6 +331,12 @@ void panel(std::size_t max_log2) {
   }
   std::printf("\n== Fig. 1 panel: %s axpy, modeled A64FX GFLOPS ==\n",
               std::string(fp::precision_traits<T>::name).c_str());
+  if constexpr (std::is_same_v<T, float16>) {
+    std::printf("host(Julia) converts Float16 through %s\n",
+                fp::hardware_f16_conversion()
+                    ? "F16C (vcvtph2ps/vcvtps2ph)"
+                    : "software rounding (rounding.hpp)");
+  }
   t.print(std::cout);
 }
 
@@ -372,8 +378,9 @@ int main(int argc, char** argv) {
   std::puts("Expected shape: Julia best peak everywhere; Fujitsu BLAS");
   std::puts("competitive; BLIS behind; OpenBLAS/ARMPL (NEON path) last;");
   std::puts("Float16 only exists for Julia; cache cliffs at L1/L2.");
-  std::puts("The Float16 host column times software half precision, far");
-  std::puts("below float: the cost the model corrects for (DESIGN.md § 2).");
+  std::puts("The Float16 host column times the host's emulated half");
+  std::puts("precision (every op widens to float and rounds back), far below");
+  std::puts("float: the cost the model corrects for (DESIGN.md § 2).");
   std::printf("Host: %s, preferred vectorized backend %s.\n",
               std::string(arch::host_features().isa).c_str(),
               std::string(
