@@ -73,25 +73,39 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   // channel id, in first-seen order; per-op ids are resolved once here
   // so the hot loop never hashes. Scanning recvs too guarantees a
   // receiver blocked on a crashed sender still finds its channel. Keys
-  // src*p+dst go through an open-addressing table with at least twice
-  // as many slots as the program has ops, so it stays at most half
-  // full and the whole scan is one linear walk over the ops.
+  // src*p+dst go through an open-addressing table that starts at 2p
+  // slots and doubles before it would pass half full, so its size
+  // follows the channel count rather than the op count, and the whole
+  // scan is one linear walk over the ops.
   const auto up = static_cast<std::uint64_t>(p);
   std::vector<std::size_t> op_base(static_cast<std::size_t>(p) + 1, 0);
   for (std::size_t r = 0; r < prog.ranks.size(); ++r) {
     op_base[r + 1] = op_base[r] + prog.ranks[r].size();
   }
   const std::size_t total_ops = op_base.back();
-  const auto bits = static_cast<int>(std::bit_width(2 * total_ops | 1));
-  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  auto bits = static_cast<int>(std::bit_width(2 * up | 1));
+  std::size_t mask = (std::size_t{1} << bits) - 1;
   std::vector<std::int32_t> slots(mask + 1, -1);  // channel id or -1
   std::vector<std::uint64_t> chan_keys;           // by channel id
-  const auto chan_of = [&](std::uint64_t key) {
+  // The slot holding `key`, or the empty slot where it belongs.
+  const auto slot_of = [&](std::uint64_t key) {
     std::size_t s = (key * 0x9e3779b97f4a7c15ull) >> (64 - bits);
     for (;; s = (s + 1) & mask) {
       const std::int32_t id = slots[s];
-      if (id < 0) break;
-      if (chan_keys[static_cast<std::size_t>(id)] == key) return id;
+      if (id < 0 || chan_keys[static_cast<std::size_t>(id)] == key) return s;
+    }
+  };
+  const auto chan_of = [&](std::uint64_t key) {
+    std::size_t s = slot_of(key);
+    if (slots[s] >= 0) return slots[s];
+    if (2 * (chan_keys.size() + 1) > slots.size()) {
+      ++bits;
+      mask = 2 * mask + 1;
+      slots.assign(mask + 1, -1);
+      for (std::size_t id = 0; id < chan_keys.size(); ++id) {
+        slots[slot_of(chan_keys[id])] = static_cast<std::int32_t>(id);
+      }
+      s = slot_of(key);
     }
     slots[s] = static_cast<std::int32_t>(chan_keys.size());
     chan_keys.push_back(key);
