@@ -230,12 +230,6 @@ INSTANTIATE_TEST_SUITE_P(NormalRange, Float16ReciprocalSweep,
 
 namespace {
 
-std::string hex(std::uint16_t bits) {
-  char buf[8];
-  std::snprintf(buf, sizeof buf, "%04x", static_cast<unsigned>(bits));
-  return buf;
-}
-
 struct software_reference {
   fp::ftz_mode mode;
   fp::fp_counters counts{};
@@ -318,11 +312,6 @@ TEST(Float16Hardware, OperatorsMatchSoftwareReferenceInBothFtzModes) {
     tfx::xoshiro256 rng(mode == fp::ftz_mode::flush ? 31 : 37);
     std::uint64_t mismatches = 0;
     std::string first;
-    const auto same = [&](const char* op, float16 got, std::uint16_t want) {
-      if (got.bits() != want && mismatches++ == 0) {
-        first = std::string(op) + ": got 0x" + hex(got.bits()) + ", want 0x" + hex(want);
-      }
-    };
     for (int trial = 0; trial < 100000; ++trial) {
       // Every pattern class: zeros, subnormals, normals, inf and NaN.
       const auto a = float16::from_bits(static_cast<std::uint16_t>(rng.bounded(0x10000)));
@@ -331,15 +320,22 @@ TEST(Float16Hardware, OperatorsMatchSoftwareReferenceInBothFtzModes) {
       // source, and the compiler may commute + and *), whatever path
       // converts: keep the payload out of what is compared.
       if (a.isnan() && b.isnan()) b = a;
+      const double d = near_grid_double(rng);
+      const auto same = [&](const char* op, float16 got, std::uint16_t want) {
+        if (got.bits() == want || mismatches++ > 0) return;
+        char text[128];
+        std::snprintf(text, sizeof text,
+                      "%s on 0x%04x, 0x%04x (double %a): got 0x%04x, want 0x%04x",
+                      op, a.bits(), b.bits(), d, got.bits(), want);
+        first = text;
+      };
       const float wa = software_reference::widen(a);
       const float wb = software_reference::widen(b);
-      const std::string ab = " of 0x" + hex(a.bits()) + ", 0x" + hex(b.bits());
-      same(("+" + ab).c_str(), a + b, ref.round(wa + wb));
-      same(("-" + ab).c_str(), a - b, ref.round(wa - wb));
-      same(("*" + ab).c_str(), a * b, ref.round(wa * wb));
-      same(("/" + ab).c_str(), a / b, ref.round(wa / wb));
-      same(("sqrt" + ab).c_str(), fp::sqrt(a), ref.round(std::sqrt(wa)));
-      const double d = near_grid_double(rng);
+      same("+", a + b, ref.round(wa + wb));
+      same("-", a - b, ref.round(wa - wb));
+      same("*", a * b, ref.round(wa * wb));
+      same("/", a / b, ref.round(wa / wb));
+      same("sqrt", fp::sqrt(a), ref.round(std::sqrt(wa)));
       same("float16(double)", float16(d), ref.round(d));
     }
     EXPECT_EQ(mismatches, 0u) << "first: " << first;
