@@ -256,6 +256,22 @@ TEST(DesGolden, ContendedClocksAndLinkCensus) {
     check({"4096 hierarchical allreduce 8KiB", 0x45a8f0dc2a6a0405ull},
           make_hierarchical_allreduce_program(net, place, 1024, 8), place);
   }
+  {
+    // Pass order: rank 3's two sends wake ranks 0 and 2. Rank 0 runs
+    // first and wakes rank 1, which runs in the same pass because its
+    // index is higher, so rank 1's 1 MiB takes link 2->3 before rank
+    // 2's and rank 2's waits (1 contended hop). Deferring rank 1 to
+    // the next pass would swap the two messages on that link.
+    const auto place = torus_placement::line(4);
+    const std::size_t mib = std::size_t{1} << 20;
+    sim_program prog(4);
+    prog.rank(0) = {sim_op::recv_from(3, 8), sim_op::send_to(1, 8)};
+    prog.rank(1) = {sim_op::recv_from(0, 8), sim_op::send_to(3, mib)};
+    prog.rank(2) = {sim_op::recv_from(3, 8), sim_op::send_to(3, mib)};
+    prog.rank(3) = {sim_op::send_to(0, 8), sim_op::send_to(2, 8),
+                    sim_op::recv_from(1, mib), sim_op::recv_from(2, mib)};
+    check({"line(4) pass order", 0xb7459ada3986696aull}, prog, place);
+  }
 }
 
 // ---------------------------------------------------------------------------
