@@ -1,7 +1,7 @@
 #include "mpisim/des.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <unordered_map>
 
 #include "core/contracts.hpp"
 #include "mpisim/obs_events.hpp"
@@ -28,24 +28,22 @@ double des_result::avg_clock() const {
 
 namespace {
 
-// In-flight messages live in one shared pool of singly-linked nodes;
-// each channel holds a FIFO as (head, tail) indices into the pool.
-// This replaces the seed's unordered_map<uint64, deque> wire state,
-// whose hashing and per-deque block allocations dominated DES host
-// time at thousand-rank scale (docs/TOPOLOGY.md has the numbers).
+// In-flight messages live in one shared pool of singly-linked nodes.
+// Each rank's outbox threads the messages it has sent that no one has
+// received yet through the pool in send order, as (head, tail) indices,
+// so a send appends with no lookup and a receive takes the oldest
+// message its source addressed to it: every (src, dst) pair stays FIFO.
 struct wire_node {
   double depart;
   std::uint64_t seq;
   std::int32_t next;
+  std::int32_t dst;
   bool poison;  ///< the sender exhausted its retries
 };
 
-// One (src,dst) pair that the program actually uses. next_seq folds
-// the seed's chan_seq map into the same cache line as the FIFO.
-struct channel_state {
+struct outbox {
   std::int32_t head = -1;
   std::int32_t tail = -1;
-  std::uint64_t next_seq = 0;
 };
 
 }  // namespace
@@ -68,76 +66,11 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   }
   if (faulty) result.deliveries.resize(static_cast<std::size_t>(p));
 
-  // ---- program pre-scan: build the flat channel table --------------
-  // Every (src,dst) pair referenced by a send OR a recv gets one dense
-  // channel id, in first-seen order; per-op ids are resolved once here
-  // so the hot loop never hashes. Scanning recvs too guarantees a
-  // receiver blocked on a crashed sender still finds its channel. Keys
-  // src*p+dst go through an open-addressing table that starts at 2p
-  // slots and doubles before it would pass half full, so its size
-  // follows the channel count rather than the op count, and the whole
-  // scan is one linear walk over the ops.
-  const auto up = static_cast<std::uint64_t>(p);
-  std::vector<std::size_t> op_base(static_cast<std::size_t>(p) + 1, 0);
-  for (std::size_t r = 0; r < prog.ranks.size(); ++r) {
-    op_base[r + 1] = op_base[r] + prog.ranks[r].size();
-  }
-  const std::size_t total_ops = op_base.back();
-  auto bits = static_cast<int>(std::bit_width(2 * up | 1));
-  std::size_t mask = (std::size_t{1} << bits) - 1;
-  std::vector<std::int32_t> slots(mask + 1, -1);  // channel id or -1
-  std::vector<std::uint64_t> chan_keys;           // by channel id
-  // The slot holding `key`, or the empty slot where it belongs.
-  const auto slot_of = [&](std::uint64_t key) {
-    std::size_t s = (key * 0x9e3779b97f4a7c15ull) >> (64 - bits);
-    for (;; s = (s + 1) & mask) {
-      const std::int32_t id = slots[s];
-      if (id < 0 || chan_keys[static_cast<std::size_t>(id)] == key) return s;
-    }
-  };
-  const auto chan_of = [&](std::uint64_t key) {
-    std::size_t s = slot_of(key);
-    if (slots[s] >= 0) return slots[s];
-    if (2 * (chan_keys.size() + 1) > slots.size()) {
-      ++bits;
-      mask = 2 * mask + 1;
-      slots.assign(mask + 1, -1);
-      for (std::size_t id = 0; id < chan_keys.size(); ++id) {
-        slots[slot_of(chan_keys[id])] = static_cast<std::int32_t>(id);
-      }
-      s = slot_of(key);
-    }
-    slots[s] = static_cast<std::int32_t>(chan_keys.size());
-    chan_keys.push_back(key);
-    return slots[s];
-  };
-
-  // Per-op channel id, flattened across ranks (compute ops keep -1).
-  std::vector<std::int32_t> op_chan(total_ops, -1);
-  std::size_t total_sends = 0;
-  for (int r = 0; r < p; ++r) {
-    const auto ur = static_cast<std::uint64_t>(r);
-    const auto& ops = prog.ranks[static_cast<std::size_t>(r)];
-    std::int32_t* chans = op_chan.data() + op_base[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const sim_op& op = ops[i];
-      if (op.what == sim_op::kind::compute) continue;
-      TFX_EXPECTS(op.peer >= 0 && op.peer < p);
-      const auto peer = static_cast<std::uint64_t>(op.peer);
-      if (op.what == sim_op::kind::send) {
-        chans[i] = chan_of(ur * up + peer);
-        ++total_sends;
-      } else {
-        chans[i] = chan_of(peer * up + ur);
-      }
-    }
-  }
-
-  std::vector<channel_state> channels(chan_keys.size());
+  std::vector<outbox> outboxes(static_cast<std::size_t>(p));
   std::vector<wire_node> pool;
-  pool.reserve(total_sends);  // one entry per send op, good or poisoned
+  pool.reserve(static_cast<std::size_t>(p));
   std::int32_t free_head = -1;
-  const auto wire_push = [&](std::int32_t chan, double depart,
+  const auto wire_push = [&](int src, int dst, double depart,
                              std::uint64_t seq, bool poison) {
     std::int32_t idx;
     if (free_head >= 0) {
@@ -147,25 +80,39 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
       idx = static_cast<std::int32_t>(pool.size());
       pool.push_back({});
     }
-    pool[static_cast<std::size_t>(idx)] = {depart, seq, -1, poison};
-    channel_state& c = channels[static_cast<std::size_t>(chan)];
-    if (c.tail < 0) {
-      c.head = c.tail = idx;
+    pool[static_cast<std::size_t>(idx)] = {depart, seq, -1, dst, poison};
+    outbox& o = outboxes[static_cast<std::size_t>(src)];
+    if (o.tail < 0) {
+      o.head = idx;
     } else {
-      pool[static_cast<std::size_t>(c.tail)].next = idx;
-      c.tail = idx;
+      pool[static_cast<std::size_t>(o.tail)].next = idx;
     }
+    o.tail = idx;
   };
-  const auto wire_pop = [&](std::int32_t chan) {
-    channel_state& c = channels[static_cast<std::size_t>(chan)];
-    const std::int32_t idx = c.head;
-    wire_node node = pool[static_cast<std::size_t>(idx)];
-    c.head = node.next;
-    if (c.head < 0) c.tail = -1;
-    pool[static_cast<std::size_t>(idx)].next = free_head;
-    free_head = idx;
-    return node;
+  // Unlinks the oldest message `src` sent to `dst` from src's outbox and
+  // returns it (valid until the next push), or null if there is none.
+  const auto wire_take = [&](int src, int dst) -> const wire_node* {
+    outbox& o = outboxes[static_cast<std::size_t>(src)];
+    std::int32_t prev = -1;
+    for (std::int32_t idx = o.head; idx >= 0;) {
+      wire_node& node = pool[static_cast<std::size_t>(idx)];
+      if (node.dst != dst) {
+        prev = idx;
+        idx = node.next;
+        continue;
+      }
+      (prev < 0 ? o.head : pool[static_cast<std::size_t>(prev)].next) =
+          node.next;
+      if (o.tail == idx) o.tail = prev;
+      node.next = free_head;
+      free_head = idx;
+      return &node;
+    }
+    return nullptr;
   };
+  // The per-pair sequence numbers the fault plane keys its schedules
+  // by; only faulty runs touch them.
+  std::unordered_map<std::uint64_t, std::uint64_t> pair_seq;
 
   // ---- contended fabric state --------------------------------------
   // Per directed link: when it frees up, and its lifetime occupancy.
@@ -239,8 +186,6 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
     for (int r = 0; r < p; ++r) {
       if (crashed[static_cast<std::size_t>(r)] != 0) continue;
       const auto& ops = prog.ranks[static_cast<std::size_t>(r)];
-      const std::int32_t* chans =
-          op_chan.data() + op_base[static_cast<std::size_t>(r)];
       auto& i = pc[static_cast<std::size_t>(r)];
       double& clock = result.clocks[static_cast<std::size_t>(r)];
       while (i < ops.size()) {
@@ -248,8 +193,8 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
         if (op.what == sim_op::kind::compute) {
           clock += op.seconds;
         } else if (op.what == sim_op::kind::send) {
+          TFX_EXPECTS(op.peer >= 0 && op.peer < p);
           double& port = send_port_free[static_cast<std::size_t>(r)];
-          const std::int32_t chan = chans[i];
           if (faulty) {
             const std::uint64_t sidx =
                 sends_total[static_cast<std::size_t>(r)]++;
@@ -267,14 +212,16 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
             }
             clock += net.send_overhead_s;
             const std::uint64_t seq =
-                channels[static_cast<std::size_t>(chan)].next_seq++;
+                pair_seq[static_cast<std::uint64_t>(r) *
+                             static_cast<std::uint64_t>(p) +
+                         static_cast<std::uint64_t>(op.peer)]++;
             const transmit_plan tp =
                 faults->plan(net, place, r, op.peer, op.bytes, seq, clock,
                              port, result.stats);
             port = tp.port_free;
             obs_ev::emit_transmit_plan(r, op.peer, seq, op.bytes, tp);
             if (tp.failed) {
-              wire_push(chan, tp.attempts.back().depart, seq, true);
+              wire_push(r, op.peer, tp.attempts.back().depart, seq, true);
               obs_ev::emit_casualty(r, op.peer, clock);
               halt(r);
               progressed = true;
@@ -287,7 +234,7 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
                 contended
                     ? route_depart(r, op.peer, op.bytes, tp.good_depart)
                     : tp.good_depart;
-            wire_push(chan, depart, seq, false);
+            wire_push(r, op.peer, depart, seq, false);
           } else {
             clock += net.send_overhead_s;
             const double inject_start = std::max(clock, port);
@@ -298,22 +245,20 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
             const double depart =
                 contended ? route_depart(r, op.peer, op.bytes, inject_start)
                           : inject_start;
-            wire_push(chan, depart, 0, false);
+            wire_push(r, op.peer, depart, 0, false);
           }
         } else {  // recv
-          const std::int32_t chan = chans[i];
-          if (channels[static_cast<std::size_t>(chan)].head < 0) {
-            break;  // blocked
-          }
-          const wire_node entry = wire_pop(chan);
-          if (entry.poison) {
+          TFX_EXPECTS(op.peer >= 0 && op.peer < p);
+          const wire_node* const entry = wire_take(op.peer, r);
+          if (entry == nullptr) break;  // blocked
+          if (entry->poison) {
             obs_ev::emit_casualty(r, op.peer, clock);
             halt(r);
             progressed = true;
             break;
           }
           const double ready =
-              entry.depart +
+              entry->depart +
               transfer_latency_seconds(net, place, op.peer, r, op.bytes);
           double& port = recv_port_free[static_cast<std::size_t>(r)];
           const double arrival =
@@ -324,7 +269,7 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
           obs_ev::emit_recv(r, op.peer, clock, op.bytes);
           if (faulty) {
             result.deliveries[static_cast<std::size_t>(r)].push_back(
-                {op.peer, 0, entry.seq});
+                {op.peer, 0, entry->seq});
           }
         }
         ++i;
@@ -333,19 +278,16 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
       }
     }
     if (!progressed && faulty) {
-      // Cascade: a rank starved on a channel whose sender crashed will
-      // never be served - it fails too, exactly like the threaded
-      // runtime's crash-notice path.
+      // Cascade: a pass that sent nothing leaves every running rank
+      // blocked on a receive with nothing to take. One whose sender
+      // crashed will never be served - it fails too, exactly like the
+      // threaded runtime's crash-notice path.
       for (int r = 0; r < p; ++r) {
         const auto ri = static_cast<std::size_t>(r);
         const auto& ops = prog.ranks[ri];
         if (crashed[ri] != 0 || pc[ri] >= ops.size()) continue;
         const sim_op& op = ops[pc[ri]];
-        if (op.what != sim_op::kind::recv) continue;
-        const std::int32_t chan = (op_chan.data() + op_base[ri])[pc[ri]];
-        const bool starved =
-            channels[static_cast<std::size_t>(chan)].head < 0;
-        if (starved && crashed[static_cast<std::size_t>(op.peer)] != 0) {
+        if (crashed[static_cast<std::size_t>(op.peer)] != 0) {
           obs_ev::emit_casualty(r, op.peer,
                                 result.clocks[static_cast<std::size_t>(r)]);
           halt(r);
