@@ -1,6 +1,7 @@
 #include "mpisim/des.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "core/contracts.hpp"
@@ -66,10 +67,28 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   }
   if (faulty) result.deliveries.resize(static_cast<std::size_t>(p));
 
+  // ---- pass sets ---------------------------------------------------
+  // Ranks run in passes, in rank order; a visited rank runs until it
+  // blocks on a receive, finishes or halts. A blocked rank records the
+  // source it waits on, and the send that serves it wakes it: into the
+  // current pass if its index is above the sender's, into the next one
+  // otherwise. That is when a round-robin over every rank would find it
+  // runnable, so links see the same send order, but no pass visits a
+  // blocked rank.
+  const std::size_t words = (static_cast<std::size_t>(p) + 63) / 64;
+  std::vector<std::uint64_t> this_pass(words, 0);
+  std::vector<std::uint64_t> next_pass(words, 0);
+  std::vector<int> waiting_on(static_cast<std::size_t>(p), -1);
+  const auto schedule = [](std::vector<std::uint64_t>& pass, int r) {
+    const auto ur = static_cast<std::size_t>(r);
+    pass[ur / 64] |= std::uint64_t{1} << (ur % 64);
+  };
+
   std::vector<outbox> outboxes(static_cast<std::size_t>(p));
   std::vector<wire_node> pool;
   pool.reserve(static_cast<std::size_t>(p));
   std::int32_t free_head = -1;
+  // Appends to src's outbox and wakes dst if it is blocked on src.
   const auto wire_push = [&](int src, int dst, double depart,
                              std::uint64_t seq, bool poison) {
     std::int32_t idx;
@@ -88,6 +107,10 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
       pool[static_cast<std::size_t>(o.tail)].next = idx;
     }
     o.tail = idx;
+    if (waiting_on[static_cast<std::size_t>(dst)] == src) {
+      waiting_on[static_cast<std::size_t>(dst)] = -1;
+      schedule(dst > src ? this_pass : next_pass, dst);
+    }
   };
   // Unlinks the oldest message `src` sent to `dst` from src's outbox and
   // returns it (valid until the next push), or null if there is none.
@@ -170,7 +193,11 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   std::uint64_t tx_bytes = 0;
   std::size_t done = 0;
   for (int r = 0; r < p; ++r) {
-    if (prog.ranks[static_cast<std::size_t>(r)].empty()) ++done;
+    if (prog.ranks[static_cast<std::size_t>(r)].empty()) {
+      ++done;
+    } else {
+      schedule(this_pass, r);
+    }
   }
   auto halt = [&](int r) {
     // A crashed (or poisoned, or cascade-starved) rank stops executing
@@ -183,8 +210,13 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
 
   while (done < static_cast<std::size_t>(p)) {
     bool progressed = false;
-    for (int r = 0; r < p; ++r) {
-      if (crashed[static_cast<std::size_t>(r)] != 0) continue;
+    for (std::size_t w = 0; w < words;) {
+      if (this_pass[w] == 0) {
+        ++w;
+        continue;
+      }
+      const int r = static_cast<int>(w * 64) + std::countr_zero(this_pass[w]);
+      this_pass[w] &= this_pass[w] - 1;
       const auto& ops = prog.ranks[static_cast<std::size_t>(r)];
       auto& i = pc[static_cast<std::size_t>(r)];
       double& clock = result.clocks[static_cast<std::size_t>(r)];
@@ -250,7 +282,10 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
         } else {  // recv
           TFX_EXPECTS(op.peer >= 0 && op.peer < p);
           const wire_node* const entry = wire_take(op.peer, r);
-          if (entry == nullptr) break;  // blocked
+          if (entry == nullptr) {
+            waiting_on[static_cast<std::size_t>(r)] = op.peer;
+            break;
+          }
           if (entry->poison) {
             obs_ev::emit_casualty(r, op.peer, clock);
             halt(r);
@@ -296,6 +331,7 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
       }
     }
     TFX_ASSERT(progressed && "sim_program deadlocked");
+    this_pass.swap(next_pass);
   }
   if (contended) {
     for (std::size_t li = 0; li < link_busy.size(); ++li) {
