@@ -363,6 +363,18 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
     tfx::obs::metric_add("net.delays", result.stats.delays);
     tfx::obs::metric_add("net.stalls", result.stats.stalls);
     tfx::obs::metric_add("net.failed_sends", result.stats.failed_sends);
+    if (contended) {
+      // The link census, as des_result::links holds it; one wait
+      // observation per call.
+      static constexpr double link_wait_uppers[] = {
+          1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100};
+      tfx::obs::metric_add("net.routed_messages",
+                           result.links.routed_messages);
+      tfx::obs::metric_add("net.link_hops", result.links.link_hops);
+      tfx::obs::metric_add("net.contended_hops", result.links.contended_hops);
+      tfx::obs::metric_observe("net.link_wait_s", link_wait_uppers,
+                               result.links.wait_seconds);
+    }
   }
   return result;
 }

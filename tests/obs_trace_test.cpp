@@ -25,6 +25,7 @@
 #include "mpisim/collectives.hpp"
 #include "mpisim/des.hpp"
 #include "mpisim/faultplane.hpp"
+#include "mpisim/patterns.hpp"
 #include "mpisim/runtime.hpp"
 #include "obs/chrome.hpp"
 #include "obs/metrics.hpp"
@@ -353,6 +354,48 @@ TEST(DesTrace, BitReproducibleAcrossRuns) {
     EXPECT_EQ(first[i].what, second[i].what);
     EXPECT_EQ(first[i].dom, second[i].dom);
     EXPECT_EQ(first[i].track, second[i].track);
+  }
+}
+
+// A contended run flushes its link census next to net.tx_bytes; an
+// uncontended run has no census and flushes none of it.
+TEST(DesTrace, ContendedRunFlushesTheLinkCensus) {
+  REQUIRE_OBS_COMPILED();
+  const tofud_params net;
+  const torus_placement place({4, 6, 16}, 4);  // Fig. 3: 1536 ranks
+  const auto prog = make_gatherv_program(place.rank_count(), 512, 8, 0);
+  static constexpr double any_uppers[] = {1.0};
+  const auto wait_histogram = []() -> obs::metric_histogram& {
+    return obs::metrics_registry::instance().get_histogram("net.link_wait_s",
+                                                           any_uppers);
+  };
+  {
+    const obs_session session;
+    des_options opts;
+    opts.fabric = fabric_mode::contended;
+    const des_result res = simulate(prog, net, place, {}, nullptr, opts);
+    EXPECT_GT(res.links.contended_hops, 0u);
+    EXPECT_EQ(counter_value("net.routed_messages"),
+              res.links.routed_messages);
+    EXPECT_EQ(counter_value("net.link_hops"), res.links.link_hops);
+    EXPECT_EQ(counter_value("net.contended_hops"), res.links.contended_hops);
+    const obs::metric_histogram& wait = wait_histogram();
+    ASSERT_EQ(wait.total(), 1u);
+    std::size_t bucket = 0;
+    while (bucket + 1 < wait.buckets() &&
+           res.links.wait_seconds > wait.upper(bucket)) {
+      ++bucket;
+    }
+    EXPECT_EQ(wait.count(bucket), 1u);
+  }
+  {
+    const obs_session session;
+    simulate(prog, net, place);
+    EXPECT_GT(counter_value("net.tx_bytes"), 0u);
+    EXPECT_EQ(counter_value("net.routed_messages"), 0u);
+    EXPECT_EQ(counter_value("net.link_hops"), 0u);
+    EXPECT_EQ(counter_value("net.contended_hops"), 0u);
+    EXPECT_EQ(wait_histogram().total(), 0u);
   }
 }
 
