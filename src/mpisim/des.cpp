@@ -116,14 +116,10 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   // returns it (valid until the next push), or null if there is none.
   const auto wire_take = [&](int src, int dst) -> const wire_node* {
     outbox& o = outboxes[static_cast<std::size_t>(src)];
-    std::int32_t prev = -1;
-    for (std::int32_t idx = o.head; idx >= 0;) {
+    for (std::int32_t prev = -1, idx = o.head; idx >= 0;
+         prev = idx, idx = pool[static_cast<std::size_t>(idx)].next) {
       wire_node& node = pool[static_cast<std::size_t>(idx)];
-      if (node.dst != dst) {
-        prev = idx;
-        idx = node.next;
-        continue;
-      }
+      if (node.dst != dst) continue;
       (prev < 0 ? o.head : pool[static_cast<std::size_t>(prev)].next) =
           node.next;
       if (o.tail == idx) o.tail = prev;

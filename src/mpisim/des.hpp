@@ -4,10 +4,14 @@
 /// Discrete-event execution of sim_programs.
 ///
 /// Walks the per-rank op lists with the *same* clock-update rules the
-/// threaded runtime applies (runtime.hpp header comment), using
-/// per-(src,dst) FIFO message queues instead of real data. This is how
-/// the Fig. 3 benchmarks time collectives at 1536 ranks in
-/// milliseconds of host time.
+/// threaded runtime applies (runtime.hpp header comment), moving
+/// message records instead of real data: each rank's outbox holds the
+/// messages it has sent that no one has received yet, in send order,
+/// and a receive takes the oldest one its source addressed to it, so
+/// every (src,dst) pair is FIFO. Ranks run in passes in rank order,
+/// and a pass visits only ranks that can run (docs/TOPOLOGY.md § 4).
+/// This is how the Fig. 3 benchmarks time collectives at 1536 ranks
+/// in milliseconds of host time.
 ///
 /// When a fault plane is supplied (faultplane.hpp), the engine applies
 /// the same deterministic per-message transmission schedules as the
@@ -79,7 +83,8 @@ struct des_result {
 /// injects the same deterministic fault schedule the threaded runtime
 /// would (crashed ranks halt and cascade instead of deadlocking).
 /// `opts.fabric` selects the endpoint-only or the link-contention
-/// fabric (docs/TOPOLOGY.md). Aborts on deadlock (malformed program).
+/// fabric (docs/TOPOLOGY.md). Aborts on deadlock (malformed program),
+/// and on an op whose peer is outside [0, p) when that op executes.
 /// The programs patterns.hpp captures are the collectives' own
 /// schedules, so they deadlock only where the threaded runtime would.
 des_result simulate(const sim_program& prog, const tofud_params& net,

@@ -396,9 +396,9 @@ TEST(ProgramCaptureDeathTest, RootOutsideTheCommunicatorAborts) {
       msg);
 }
 
-// A peer outside [0, p) must abort, not alias another channel: with
-// p = 2 the key of 0->2 equals the key of 1->0, so without the check
-// rank 0 would receive its own misaddressed message.
+// A peer outside [0, p) must abort when its op executes, before it
+// indexes past the per-rank state: with p = 2, a send to 2 or a
+// receive from -1 names no rank.
 TEST(DesDeathTest, PeerOutsideTheProgramAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const tofud_params net;
@@ -412,9 +412,9 @@ TEST(DesDeathTest, PeerOutsideTheProgramAborts) {
   EXPECT_DEATH(simulate(negative, net, place), msg);
 }
 
-// A receive no send ever matches deadlocks the program. Its channel is
-// seen only by receives, so reaching the deadlock check also shows such
-// a channel gets a table entry of its own.
+// A receive no send ever matches deadlocks the program: its rank stays
+// blocked, no pass is left to run, and the engine reaches its deadlock
+// check instead of waiting forever.
 TEST(DesDeathTest, UnmatchedReceiveDeadlocks) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const tofud_params net;

@@ -3,7 +3,7 @@
 // contended one with its link census, the contended
 // (store-and-forward) fabric's semantics, and the
 // scaled-rank-count smoke with a host-time budget (the witness that
-// the flat channel table keeps 1k-4k simulated ranks ctest-friendly).
+// DES keeps 1k-4k simulated ranks ctest-friendly).
 //
 // The golden hashes pin the *exact* virtual clocks of the pre-topology
 // DES: any change to the send/recv arithmetic - however reasonable -
