@@ -391,7 +391,8 @@ TEST(DesScale, Fig3RankCountSimulatesWithinBudget) {
   const double ms = run_and_time_ms(prog, net, place);
   const double cont_ms =
       run_and_time_ms(prog, net, place, contended_fabric());
-  // Release builds run this in ~3-6 ms; the budget leaves room for
+  // Release builds simulate this in ~0.3 ms uncontended and ~0.7-1.1 ms
+  // contended (a 4-core AVX-512 EPYC guest); the budget leaves room for
   // debug/sanitizer builds without tolerating a complexity regression.
   const double budget_ms = under_tsan ? 30000.0 : 5000.0;
   EXPECT_LT(ms, budget_ms);
@@ -409,8 +410,10 @@ TEST(DesScale, FourThousandRanksSimulateWithinBudget) {
   const double large_ms = run_and_time_ms(
       make_allreduce_program(net, p, 1 << 17, 8, coll_algorithm::rabenseifner),
       net, place);
-  // Release: ~14 ms / ~25 ms (the pre-refactor engine took ~96 ms /
-  // ~85 ms and scaled super-linearly with rank count).
+  // Release: ~1.5-2.4 ms / ~2.4-3.3 ms to simulate on a 4-core AVX-512
+  // EPYC guest (the pre-refactor engine took ~96 ms / ~85 ms to build
+  // and simulate on an older host, and scaled super-linearly with rank
+  // count).
   const double budget_ms = under_tsan ? 60000.0 : 10000.0;
   EXPECT_LT(small_ms, budget_ms);
   EXPECT_LT(large_ms, budget_ms);
