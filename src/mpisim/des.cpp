@@ -184,7 +184,8 @@ des_result simulate(const sim_program& prog, const tofud_params& net,
   // but events carry track == rank and the *virtual* clock, so the DES
   // trace is bit-reproducible and comparable record-for-record with
   // the threaded runtime's (tests/obs_trace_test.cpp). The delivered
-  // byte total flushes at the end.
+  // byte total, and on the contended fabric the link census, flush at
+  // the end.
   const bool traced = tfx::obs::active();
   std::uint64_t tx_bytes = 0;
   std::size_t done = 0;
