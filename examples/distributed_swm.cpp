@@ -12,10 +12,8 @@
 //   distributed_swm --ranks=4                     # shm, 4 ranks
 //   distributed_swm --transport=socket --ranks=4 --out=/tmp/sock
 //   # separate processes, one per rank, agreeing on a coordinator port:
-//   for r in 0 1 2 3; do
-//     distributed_swm --transport=socket --ranks=4 --rank=$r \
-//                     --port=47731 --out=/tmp/proc &
-//   done; wait
+//   args="--transport=socket --ranks=4 --port=47731 --out=/tmp/proc"
+//   for r in 0 1 2 3; do distributed_swm $args --rank=$r & done; wait
 //
 // With --out=PREFIX every local rank writes its packed integration
 // state (prognostic u,v,eta plus the Kahan compensation slabs - the

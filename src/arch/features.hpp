@@ -15,8 +15,11 @@
 /// This header answers the second question. Detection is done once
 /// (first call), is thread-safe, and degrades gracefully: on an
 /// unrecognized architecture the answer is the portable 128-bit
-/// minimum, which every fixed-width backend can execute because the
-/// compiler synthesizes wide vector operations from narrower ones.
+/// minimum. Every fixed-width backend stays executable at every width:
+/// kernels::with_simd_width (kernels/dispatch.hpp) runs a width on the
+/// host's own ISA for it where `avx2` / `avx512f` below say there is
+/// one, and above the host's widest vectors the compiler synthesizes
+/// the wide operations from narrower ones.
 
 #include <cstddef>
 #include <string_view>
@@ -36,8 +39,8 @@ struct cpu_features {
 
   /// Widest vector width (bits) the host can execute natively. One of
   /// 128 / 256 / 512. The fixed-width backends remain *runnable* above
-  /// this (synthesized from narrower ops); this is the width at which
-  /// the lanes are real.
+  /// this (synthesized from narrower ops); up to it, with_simd_width
+  /// runs them on the host's AVX2 / AVX-512F copies on x86-64.
   std::size_t max_vector_bits = 128;
 
   /// Short human-readable ISA summary ("avx512f", "avx2", "neon", ...).

@@ -3,6 +3,7 @@
 #include "core/contracts.hpp"
 #include "kernels/backend.hpp"
 #include "kernels/batched.hpp"
+#include "kernels/dispatch.hpp"
 #include "kernels/generic.hpp"
 #include "kernels/simd.hpp"
 
@@ -233,7 +234,8 @@ class armpl_backend final : public backend_base {
 /// when the full lane width is guaranteed by construction instead of
 /// left to the autovectorizer. Supports Float16 through the widened
 /// lane path, and overrides the batched routines with the fixed-width
-/// implementations.
+/// implementations. Every kernel runs through with_simd_width(Bits),
+/// so its packs run on the host's ISA for Bits (kernels/dispatch.hpp).
 template <std::size_t Bits>
 class vec_backend final : public blas_backend {
  public:
@@ -268,42 +270,60 @@ class vec_backend final : public blas_backend {
 
   void axpy(double a, std::span<const double> x,
             std::span<double> y) const override {
-    simd::axpy_fixed<Bits>(a, x, y);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::axpy_fixed<bits()>(a, x, y);
+    });
   }
   void axpy(float a, std::span<const float> x,
             std::span<float> y) const override {
-    simd::axpy_fixed<Bits>(a, x, y);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::axpy_fixed<bits()>(a, x, y);
+    });
   }
   void axpy(fp::float16 a, std::span<const fp::float16> x,
             std::span<fp::float16> y) const override {
-    simd::axpy_widened<Bits>(a, x, y);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::axpy_widened<bits()>(a, x, y);
+    });
   }
 
   void axpy_batched(std::span<const double> a, std::span<const double> x,
                     std::span<double> y, std::size_t n) const override {
-    simd::axpy_batched_fixed<Bits>(a, x, y, n);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::axpy_batched_fixed<bits()>(a, x, y, n);
+    });
   }
   void axpy_batched(std::span<const float> a, std::span<const float> x,
                     std::span<float> y, std::size_t n) const override {
-    simd::axpy_batched_fixed<Bits>(a, x, y, n);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::axpy_batched_fixed<bits()>(a, x, y, n);
+    });
   }
   void dot_batched(std::span<const double> x, std::span<const double> y,
                    std::span<double> out, std::size_t n) const override {
-    simd::dot_batched_fixed<Bits>(x, y, out, n);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::dot_batched_fixed<bits()>(x, y, out, n);
+    });
   }
   void dot_batched(std::span<const float> x, std::span<const float> y,
                    std::span<float> out, std::size_t n) const override {
-    simd::dot_batched_fixed<Bits>(x, y, out, n);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::dot_batched_fixed<bits()>(x, y, out, n);
+    });
   }
   void gemm_batched(const gemm_batch_shape& s, double alpha,
                     std::span<const double> a, std::span<const double> b,
                     double beta, std::span<double> c) const override {
-    simd::gemm_batched_fixed<Bits>(s, alpha, a, b, beta, c);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::gemm_batched_fixed<bits()>(s, alpha, a, b, beta, c);
+    });
   }
   void gemm_batched(const gemm_batch_shape& s, float alpha,
                     std::span<const float> a, std::span<const float> b,
                     float beta, std::span<float> c) const override {
-    simd::gemm_batched_fixed<Bits>(s, alpha, a, b, beta, c);
+    with_simd_width(Bits, [&](auto bits) {
+      simd::gemm_batched_fixed<bits()>(s, alpha, a, b, beta, c);
+    });
   }
 };
 

@@ -2,6 +2,13 @@
 
 namespace tfx::kernels {
 
+#if TFX_KERNELS_ISA_COPIES
+namespace detail {
+const bool host_avx2 = arch::host_features().avx2;
+const bool host_avx512f = arch::host_features().avx512f;
+}  // namespace detail
+#endif
+
 namespace {
 
 std::atomic<std::size_t>& width_policy() {

@@ -19,6 +19,13 @@
 /// nonzero width produces bit-identical results for element-wise
 /// kernels (docs/KERNELS.md), so swapping mid-run never changes a
 /// trajectory; reductions are deterministic *per width*.
+///
+/// with_simd_width() also picks the instruction set a width runs on.
+/// The build targets the baseline ISA, so on x86-64 every pack is made
+/// of 128-bit SSE2 operations unless the host has the width's ISA: the
+/// 256 case then runs its functor compiled for AVX2 and the 512 case
+/// compiled for AVX-512F (detail::run_avx2 / run_avx512). A width above
+/// the host's ISA still runs, synthesized from narrower operations.
 
 #include <atomic>
 #include <cstddef>
@@ -47,14 +54,62 @@ bool set_simd_width(std::size_t bits);
 /// Reset the policy to default_simd_width().
 void reset_simd_width();
 
+/// 1 where with_simd_width() runs its 256 and 512 cases on the host's
+/// AVX2 and AVX-512F copies: x86-64 under GCC. Elsewhere every width
+/// runs the plain call.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define TFX_KERNELS_ISA_COPIES 1
+#else
+#define TFX_KERNELS_ISA_COPIES 0
+#endif
+
+namespace detail {
+
+#if TFX_KERNELS_ISA_COPIES
+/// arch::host_features().avx2 / .avx512f, copied during the kernels
+/// library's static initialization so that each dispatch tests a plain
+/// load. They read false before that, which selects the baseline
+/// copies and so the same bits.
+extern const bool host_avx2;
+extern const bool host_avx512f;
+
+/// The ISA copies. `flatten` inlines everything `f` calls into the
+/// copy, whose symbol is compiled for that ISA alone; what GCC cannot
+/// inline is called as its ordinary baseline code. So no shared inline
+/// function is emitted with wide instructions, and a host without the
+/// ISA never reaches them. The targets name only what
+/// arch::host_features() probes, never `fma`: the muladd contract
+/// rounds a*b + c twice (docs/KERNELS.md § 3). AVX-512F has FMA
+/// encodings of its own, so -ffp-contract=off is what keeps that copy
+/// unfused.
+template <typename F>
+[[gnu::target("avx2"), gnu::flatten]] decltype(auto) run_avx2(F& f) {
+  return f(std::integral_constant<std::size_t, 256>{});
+}
+
+template <typename F>
+[[gnu::target("avx512f"), gnu::flatten]] decltype(auto) run_avx512(F& f) {
+  return f(std::integral_constant<std::size_t, 512>{});
+}
+#endif
+
+}  // namespace detail
+
 /// Run `f` with the compile-time width matching runtime `bits`
-/// (which must be nonzero; callers handle scalar before switching).
+/// (which must be nonzero; callers handle scalar before switching),
+/// on the host's ISA for that width where it has one.
 template <typename F>
 decltype(auto) with_simd_width(std::size_t bits, F&& f) {
   switch (bits) {
     case 512:
+#if TFX_KERNELS_ISA_COPIES
+      if (detail::host_avx512f) return detail::run_avx512(f);
+#endif
       return f(std::integral_constant<std::size_t, 512>{});
     case 256:
+#if TFX_KERNELS_ISA_COPIES
+      if (detail::host_avx2) return detail::run_avx2(f);
+#endif
       return f(std::integral_constant<std::size_t, 256>{});
     default:
       return f(std::integral_constant<std::size_t, 128>{});

@@ -31,16 +31,20 @@
 /// for_each_column. The two periodic wrap columns (i = 0 and
 /// i = nx - 1) are peeled and run with their wrapped neighbours; the
 /// interior columns read i - 1 and i + 1 straight from the row
-/// pointers, contiguous memory the compiler vectorizes at the build
-/// target's width. The interior loop carries a no-alias promise
-/// (`#pragma GCC ivdep`) that rests on one invariant: no pass writes
-/// an array it reads. The vectorized loops are bit-identical to the
-/// scalar ones for the reason the element-wise sweeps are
-/// (docs/KERNELS.md § 4): every element keeps its exact expression and
-/// operation order, lanes only evaluate several elements at once, the
-/// build pins -ffp-contract=off, and nothing reassociates. SwmGolden
-/// (tests/swm_model_test) pins the trajectories recorded from the
-/// scalar loops at every precision.
+/// pointers, contiguous memory the compiler vectorizes. For native
+/// lane types (double, float) each pass runs through the width policy
+/// (kernels::with_simd_width), so the loops vectorize at the ISA the
+/// policy names on the host: AVX2 at 256 bits, AVX-512F at 512, the
+/// baseline build's SSE2 otherwise. The interior loop carries a
+/// no-alias promise (`#pragma GCC ivdep`) that rests on one invariant:
+/// no pass writes an array it reads. The vectorized loops are
+/// bit-identical to the scalar ones for the reason the element-wise
+/// sweeps are (docs/KERNELS.md § 4): every element keeps its exact
+/// expression and operation order, lanes only evaluate several
+/// elements at once, the build pins -ffp-contract=off, and nothing
+/// reassociates. SwmGolden (tests/swm_model_test) pins the
+/// trajectories recorded from the scalar loops at every precision and
+/// width.
 ///
 /// Boundary conditions: doubly periodic by default; the channel option
 /// (params.hpp) places free-slip solid walls at y = 0 and y = Ly. On
@@ -58,6 +62,8 @@
 
 #include "core/contracts.hpp"
 #include "core/threadpool.hpp"
+#include "fp/traits.hpp"
+#include "kernels/dispatch.hpp"
 #include "swm/field.hpp"
 #include "swm/params.hpp"
 
@@ -168,218 +174,36 @@ class rhs_evaluator {
   static constexpr double array_reads = 19.0;
   static constexpr double array_writes = 7.0;
 
-  // The five passes, each over rows [j0, j1). Passes 1-2 read the
-  // state at rows j-1..j+1 and write the derived fields (vorticity,
-  // kinetic energy, the two Laplacians); passes 3-5 read the state and
-  // the derived fields at rows j-1..j+1.
-
-  // Pass 1: relative vorticity (grid units, scale s) at corner points
-  // and kinetic energy at centres. The KE is kept at scale s (not
-  // s^2): one factor of each square is pre-multiplied by the exact
-  // inv_s so no intermediate overflows Float16 at large s.
-  void pass_vorticity_ke(const grid_state& st, int j0, int j1) {
-    const int nx = st.nx();
-    const auto& U = st.u;
-    const auto& V = st.v;
-    const auto& H = st.eta;
-    const T half = coeffs_.half;
-    const T inv_s = coeffs_.inv_s;
-    for (int j = j0; j < j1; ++j) {
-      const int jm = channel_ && j == 0 ? 0 : H.jm(j);  // u mirrored at wall
-      const int jp = H.jp(j);
-      const T* u = &U(0, j);
-      const T* u_s = &U(0, jm);
-      const T* v = &V(0, j);
-      const T* v_n = &V(0, jp);
-      T* zeta = &zeta_(0, j);
-      T* ke = &ke_(0, j);
-      for_each_column(nx, [&](int i, int im, int ip) {
-        zeta[i] = (v[i] - v[im]) - (u[i] - u_s[i]);
-        const T ubar = half * (u[i] + u[ip]);
-        const T vbar = half * (v[i] + v_n[i]);
-        ke[i] = half * (ubar * (inv_s * ubar) + vbar * (inv_s * vbar));
-      });
-    }
-  }
-
-  // Pass 2: Laplacians (grid units) of both velocity components. In
-  // the channel, u mirrors across the walls (free slip) and the
-  // antisymmetric v ghost plus v = 0 on the wall row make lap_v
-  // vanish there.
-  void pass_laplacians(const grid_state& st, int j0, int j1) {
-    const int nx = st.nx();
-    const int ny = st.ny();
-    const auto& U = st.u;
-    const auto& V = st.v;
-    const T four = T(4);
-    for (int j = j0; j < j1; ++j) {
-      const int jm = U.jm(j);
-      const int jp = U.jp(j);
-      const int jm_u = channel_ && j == 0 ? 0 : jm;
-      const int jp_u = channel_ && j == ny - 1 ? j : jp;
-      const T* u = &U(0, j);
-      const T* u_n = &U(0, jp_u);
-      const T* u_s = &U(0, jm_u);
-      T* lap_u = &lap_u_(0, j);
-      for_each_column(nx, [&](int i, int im, int ip) {
-        lap_u[i] = u[ip] + u[im] + u_n[i] + u_s[i] - four * u[i];
-      });
-      T* lap_v = &lap_v_(0, j);
-      if (channel_ && j == 0) {  // the wall row
-        std::fill(lap_v, lap_v + nx, T{});
-        continue;
-      }
-      const T* v = &V(0, j);
-      const T* v_n = &V(0, jp);
-      const T* v_s = &V(0, jm);
-      for_each_column(nx, [&](int i, int im, int ip) {
-        lap_v[i] = v[ip] + v[im] + v_n[i] + v_s[i] - four * v[i];
-      });
-    }
-  }
-
-  // Pass 3: u-momentum increment.
+  // The five passes, each over rows [j0, j1), defined below the
+  // class. Passes 1-2 read the state at rows j-1..j+1 and write the
+  // derived fields (vorticity, kinetic energy, the two Laplacians);
+  // passes 3-5 read the state and the derived fields at rows j-1..j+1.
+  void pass_vorticity_ke(const grid_state& st, int j0, int j1);
+  void pass_laplacians(const grid_state& st, int j0, int j1);
   void pass_u_momentum(const grid_state& st, tendencies<T>& out, int j0,
-                       int j1) {
-    const int nx = st.nx();
-    const int ny = st.ny();
-    const auto& U = st.u;
-    const auto& V = st.v;
-    const auto& H = st.eta;
-    const T half = coeffs_.half;
-    const T quarter = coeffs_.quarter;
-    const T inv_s = coeffs_.inv_s;
-    const T dtdx = coeffs_.dtdx;
-    const T g_dtdx = coeffs_.g_dtdx;
-    const T dt_drag = coeffs_.dt_drag;
-    const T dt_visc = coeffs_.dt_visc;
-    const T four = T(4);
-    for (int j = j0; j < j1; ++j) {
-      const int jp = U.jp(j);
-      const int jm = channel_ && j == 0 ? 0 : U.jm(j);
-      const int jp_u = channel_ && j == ny - 1 ? j : jp;
-      const T dtf = dt_cor_u_[static_cast<std::size_t>(j)];
-      const T wind = wind_u_[static_cast<std::size_t>(j)];
-      const T* u = &U(0, j);
-      const T* v = &V(0, j);
-      const T* v_n = &V(0, jp);
-      const T* h = &H(0, j);
-      const T* zeta = &zeta_(0, j);
-      const T* zeta_n = &zeta_(0, jp);
-      const T* ke = &ke_(0, j);
-      const T* lap = &lap_u_(0, j);
-      const T* lap_n = &lap_u_(0, jp_u);
-      const T* lap_s = &lap_u_(0, jm);
-      T* du = &out.du(0, j);
-      for_each_column(nx, [&](int i, int im, int ip) {
-        // v averaged to the u-point; vorticity averaged to the u-point.
-        const T vbar = quarter * (v[im] + v[i] + v_n[im] + v_n[i]);
-        // De-scale the vorticity factor (exact) before the product so
-        // zbar*vbar carries scale s, not s^2.
-        const T zbar = inv_s * (half * (zeta[i] + zeta_n[i]));
-        const T biharm =
-            lap[ip] + lap[im] + lap_n[i] + lap_s[i] - four * lap[i];
-        du[i] = dtf * vbar                      // linear Coriolis
-                + dtdx * (zbar * vbar)          // vorticity advection
-                - g_dtdx * (h[i] - h[im])       // pressure gradient
-                - dtdx * (ke[i] - ke[im])       // KE gradient
-                + wind                          // wind stress
-                - dt_drag * u[i]                // bottom drag
-                - dt_visc * biharm;             // biharmonic
-      });
-    }
-  }
-
-  // Pass 4: v-momentum increment. In the channel the j = 0 row IS
-  // the wall (and, via the wrap, the north wall too): no flow ever.
+                       int j1);
   void pass_v_momentum(const grid_state& st, tendencies<T>& out, int j0,
-                       int j1) {
-    const int nx = st.nx();
-    const auto& U = st.u;
-    const auto& V = st.v;
-    const auto& H = st.eta;
-    const T half = coeffs_.half;
-    const T quarter = coeffs_.quarter;
-    const T inv_s = coeffs_.inv_s;
-    const T dtdx = coeffs_.dtdx;
-    const T dtdy = coeffs_.dtdy;
-    const T g_dtdy = coeffs_.g_dtdy;
-    const T dt_drag = coeffs_.dt_drag;
-    const T dt_visc = coeffs_.dt_visc;
-    const T four = T(4);
-    for (int j = j0; j < j1; ++j) {
-      T* dv = &out.dv(0, j);
-      if (channel_ && j == 0) {
-        std::fill(dv, dv + nx, T{});
-        continue;
-      }
-      const int jm = V.jm(j);
-      const int jp = V.jp(j);
-      const T dtf = dt_cor_v_[static_cast<std::size_t>(j)];
-      const T* u = &U(0, j);
-      const T* u_s = &U(0, jm);
-      const T* v = &V(0, j);
-      const T* h = &H(0, j);
-      const T* h_s = &H(0, jm);
-      const T* zeta = &zeta_(0, j);
-      const T* ke = &ke_(0, j);
-      const T* ke_s = &ke_(0, jm);
-      const T* lap = &lap_v_(0, j);
-      const T* lap_n = &lap_v_(0, jp);
-      const T* lap_s = &lap_v_(0, jm);
-      for_each_column(nx, [&](int i, int im, int ip) {
-        const T ubar = quarter * (u_s[i] + u[i] + u_s[ip] + u[ip]);
-        const T zbar = inv_s * (half * (zeta[i] + zeta[ip]));
-        const T biharm =
-            lap[ip] + lap[im] + lap_n[i] + lap_s[i] - four * lap[i];
-        dv[i] = -dtf * ubar
-                - dtdx * (zbar * ubar)
-                - g_dtdy * (h[i] - h_s[i])
-                - dtdy * (ke[i] - ke_s[i])
-                - dt_drag * v[i]
-                - dt_visc * biharm;
-      });
-    }
-  }
-
-  // Pass 5: continuity. Linear part with h0, nonlinear flux with the
-  // scaled surface displacement (one exact /s via the coefficient).
+                       int j1);
   void pass_continuity(const grid_state& st, tendencies<T>& out, int j0,
-                       int j1) {
-    const int nx = st.nx();
-    const auto& U = st.u;
-    const auto& V = st.v;
-    const auto& H = st.eta;
-    const T half = coeffs_.half;
-    const T inv_s = coeffs_.inv_s;
-    const T dtdx = coeffs_.dtdx;
-    const T dtdy = coeffs_.dtdy;
-    const T h0_dtdx = coeffs_.h0_dtdx;
-    const T h0_dtdy = coeffs_.h0_dtdy;
-    for (int j = j0; j < j1; ++j) {
-      const int jm = H.jm(j);
-      const int jp = H.jp(j);
-      const T* u = &U(0, j);
-      const T* v = &V(0, j);
-      const T* v_n = &V(0, jp);
-      const T* h = &H(0, j);
-      const T* h_n = &H(0, jp);
-      const T* h_s = &H(0, jm);
-      T* deta = &out.deta(0, j);
-      for_each_column(nx, [&](int i, int im, int ip) {
-        const T div = h0_dtdx * (u[ip] - u[i]) + h0_dtdy * (v_n[i] - v[i]);
-        // Fluxes u*eta at faces: de-scale the interpolated eta (exact)
-        // so U * etabar carries scale s, not s^2.
-        const T fx_e = u[ip] * (inv_s * (half * (h[i] + h[ip])));
-        const T fx_w = u[i] * (inv_s * (half * (h[im] + h[i])));
-        const T fy_n = v_n[i] * (inv_s * (half * (h[i] + h_n[i])));
-        const T fy_s = v[i] * (inv_s * (half * (h_s[i] + h[i])));
-        deta[i] = -div - dtdx * (fx_e - fx_w) - dtdy * (fy_n - fy_s);
-      });
-    }
-  }
+                       int j1);
 
  private:
+  /// Run one pass's rows: for native lane types through the width
+  /// policy, so they run on the host's copy for its width
+  /// (kernels/dispatch.hpp); soft-float and analysis types call them
+  /// directly, since their scalar operators gain nothing from it and
+  /// flattening them costs build time.
+  template <typename Rows>
+  static void at_policy_isa(const Rows& rows) {
+    if constexpr (fp::vec_traits<T>::kind == fp::vectorizability::native) {
+      if (const std::size_t w = kernels::simd_width(); w != 0) {
+        kernels::with_simd_width(w, [&](auto) { rows(); });
+        return;
+      }
+    }
+    rows();
+  }
+
   /// Run `cell(i, im, ip)` over the columns of one row, im/ip being
   /// the periodic x-neighbours of i. The two wrap columns are peeled
   /// (for nx == 1 the one column is its own neighbour on both sides);
@@ -431,5 +255,240 @@ class rhs_evaluator {
   std::vector<T> dt_cor_u_, dt_cor_v_, wind_u_;
   Grid zeta_, ke_, lap_u_, lap_v_;
 };
+
+// Pass 1: relative vorticity (grid units, scale s) at corner points
+// and kinetic energy at centres. The KE is kept at scale s (not
+// s^2): one factor of each square is pre-multiplied by the exact
+// inv_s so no intermediate overflows Float16 at large s.
+template <typename T, typename Grid>
+void rhs_evaluator<T, Grid>::pass_vorticity_ke(const grid_state& st, int j0,
+                                               int j1) {
+  at_policy_isa([&] {
+    const int nx = st.nx();
+    const auto& U = st.u;
+    const auto& V = st.v;
+    const auto& H = st.eta;
+    const T half = coeffs_.half;
+    const T inv_s = coeffs_.inv_s;
+    for (int j = j0; j < j1; ++j) {
+      const int jm = channel_ && j == 0 ? 0 : H.jm(j);  // u mirrored at wall
+      const int jp = H.jp(j);
+      const T* u = &U(0, j);
+      const T* u_s = &U(0, jm);
+      const T* v = &V(0, j);
+      const T* v_n = &V(0, jp);
+      T* zeta = &zeta_(0, j);
+      T* ke = &ke_(0, j);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        zeta[i] = (v[i] - v[im]) - (u[i] - u_s[i]);
+        const T ubar = half * (u[i] + u[ip]);
+        const T vbar = half * (v[i] + v_n[i]);
+        ke[i] = half * (ubar * (inv_s * ubar) + vbar * (inv_s * vbar));
+      });
+    }
+  });
+}
+
+// Pass 2: Laplacians (grid units) of both velocity components. In
+// the channel, u mirrors across the walls (free slip) and the
+// antisymmetric v ghost plus v = 0 on the wall row make lap_v
+// vanish there.
+template <typename T, typename Grid>
+void rhs_evaluator<T, Grid>::pass_laplacians(const grid_state& st, int j0,
+                                             int j1) {
+  at_policy_isa([&] {
+    const int nx = st.nx();
+    const int ny = st.ny();
+    const auto& U = st.u;
+    const auto& V = st.v;
+    const T four = T(4);
+    for (int j = j0; j < j1; ++j) {
+      const int jm = U.jm(j);
+      const int jp = U.jp(j);
+      const int jm_u = channel_ && j == 0 ? 0 : jm;
+      const int jp_u = channel_ && j == ny - 1 ? j : jp;
+      const T* u = &U(0, j);
+      const T* u_n = &U(0, jp_u);
+      const T* u_s = &U(0, jm_u);
+      T* lap_u = &lap_u_(0, j);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        lap_u[i] = u[ip] + u[im] + u_n[i] + u_s[i] - four * u[i];
+      });
+      T* lap_v = &lap_v_(0, j);
+      if (channel_ && j == 0) {  // the wall row
+        std::fill(lap_v, lap_v + nx, T{});
+        continue;
+      }
+      const T* v = &V(0, j);
+      const T* v_n = &V(0, jp);
+      const T* v_s = &V(0, jm);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        lap_v[i] = v[ip] + v[im] + v_n[i] + v_s[i] - four * v[i];
+      });
+    }
+  });
+}
+
+// Pass 3: u-momentum increment.
+template <typename T, typename Grid>
+void rhs_evaluator<T, Grid>::pass_u_momentum(const grid_state& st,
+                                             tendencies<T>& out, int j0,
+                                             int j1) {
+  at_policy_isa([&] {
+    const int nx = st.nx();
+    const int ny = st.ny();
+    const auto& U = st.u;
+    const auto& V = st.v;
+    const auto& H = st.eta;
+    const T half = coeffs_.half;
+    const T quarter = coeffs_.quarter;
+    const T inv_s = coeffs_.inv_s;
+    const T dtdx = coeffs_.dtdx;
+    const T g_dtdx = coeffs_.g_dtdx;
+    const T dt_drag = coeffs_.dt_drag;
+    const T dt_visc = coeffs_.dt_visc;
+    const T four = T(4);
+    for (int j = j0; j < j1; ++j) {
+      const int jp = U.jp(j);
+      const int jm = channel_ && j == 0 ? 0 : U.jm(j);
+      const int jp_u = channel_ && j == ny - 1 ? j : jp;
+      const T dtf = dt_cor_u_[static_cast<std::size_t>(j)];
+      const T wind = wind_u_[static_cast<std::size_t>(j)];
+      const T* u = &U(0, j);
+      const T* v = &V(0, j);
+      const T* v_n = &V(0, jp);
+      const T* h = &H(0, j);
+      const T* zeta = &zeta_(0, j);
+      const T* zeta_n = &zeta_(0, jp);
+      const T* ke = &ke_(0, j);
+      const T* lap = &lap_u_(0, j);
+      const T* lap_n = &lap_u_(0, jp_u);
+      const T* lap_s = &lap_u_(0, jm);
+      T* du = &out.du(0, j);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        // v averaged to the u-point; vorticity averaged to the u-point.
+        const T vbar = quarter * (v[im] + v[i] + v_n[im] + v_n[i]);
+        // De-scale the vorticity factor (exact) before the product so
+        // zbar*vbar carries scale s, not s^2.
+        const T zbar = inv_s * (half * (zeta[i] + zeta_n[i]));
+        const T biharm =
+            lap[ip] + lap[im] + lap_n[i] + lap_s[i] - four * lap[i];
+        du[i] = dtf * vbar                      // linear Coriolis
+                + dtdx * (zbar * vbar)          // vorticity advection
+                - g_dtdx * (h[i] - h[im])       // pressure gradient
+                - dtdx * (ke[i] - ke[im])       // KE gradient
+                + wind                          // wind stress
+                - dt_drag * u[i]                // bottom drag
+                - dt_visc * biharm;             // biharmonic
+      });
+    }
+  });
+}
+
+// Pass 4: v-momentum increment. In the channel the j = 0 row IS
+// the wall (and, via the wrap, the north wall too): no flow ever.
+template <typename T, typename Grid>
+void rhs_evaluator<T, Grid>::pass_v_momentum(const grid_state& st,
+                                             tendencies<T>& out, int j0,
+                                             int j1) {
+  at_policy_isa([&] {
+    const int nx = st.nx();
+    const auto& U = st.u;
+    const auto& V = st.v;
+    const auto& H = st.eta;
+    const T half = coeffs_.half;
+    const T quarter = coeffs_.quarter;
+    const T inv_s = coeffs_.inv_s;
+    const T dtdx = coeffs_.dtdx;
+    const T dtdy = coeffs_.dtdy;
+    const T g_dtdy = coeffs_.g_dtdy;
+    const T dt_drag = coeffs_.dt_drag;
+    const T dt_visc = coeffs_.dt_visc;
+    const T four = T(4);
+    for (int j = j0; j < j1; ++j) {
+      T* dv = &out.dv(0, j);
+      if (channel_ && j == 0) {
+        std::fill(dv, dv + nx, T{});
+        continue;
+      }
+      const int jm = V.jm(j);
+      const int jp = V.jp(j);
+      const T dtf = dt_cor_v_[static_cast<std::size_t>(j)];
+      const T* u = &U(0, j);
+      const T* u_s = &U(0, jm);
+      const T* v = &V(0, j);
+      const T* h = &H(0, j);
+      const T* h_s = &H(0, jm);
+      const T* zeta = &zeta_(0, j);
+      const T* ke = &ke_(0, j);
+      const T* ke_s = &ke_(0, jm);
+      const T* lap = &lap_v_(0, j);
+      const T* lap_n = &lap_v_(0, jp);
+      const T* lap_s = &lap_v_(0, jm);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        const T ubar = quarter * (u_s[i] + u[i] + u_s[ip] + u[ip]);
+        const T zbar = inv_s * (half * (zeta[i] + zeta[ip]));
+        const T biharm =
+            lap[ip] + lap[im] + lap_n[i] + lap_s[i] - four * lap[i];
+        dv[i] = -dtf * ubar
+                - dtdx * (zbar * ubar)
+                - g_dtdy * (h[i] - h_s[i])
+                - dtdy * (ke[i] - ke_s[i])
+                - dt_drag * v[i]
+                - dt_visc * biharm;
+      });
+    }
+  });
+}
+
+// Pass 5: continuity. Linear part with h0, nonlinear flux with the
+// scaled surface displacement (one exact /s via the coefficient).
+template <typename T, typename Grid>
+void rhs_evaluator<T, Grid>::pass_continuity(const grid_state& st,
+                                             tendencies<T>& out, int j0,
+                                             int j1) {
+  at_policy_isa([&] {
+    const int nx = st.nx();
+    const auto& U = st.u;
+    const auto& V = st.v;
+    const auto& H = st.eta;
+    const T half = coeffs_.half;
+    const T inv_s = coeffs_.inv_s;
+    const T dtdx = coeffs_.dtdx;
+    const T dtdy = coeffs_.dtdy;
+    const T h0_dtdx = coeffs_.h0_dtdx;
+    const T h0_dtdy = coeffs_.h0_dtdy;
+    for (int j = j0; j < j1; ++j) {
+      const int jm = H.jm(j);
+      const int jp = H.jp(j);
+      const T* u = &U(0, j);
+      const T* v = &V(0, j);
+      const T* v_n = &V(0, jp);
+      const T* h = &H(0, j);
+      const T* h_n = &H(0, jp);
+      const T* h_s = &H(0, jm);
+      T* deta = &out.deta(0, j);
+      for_each_column(nx, [&](int i, int im, int ip) {
+        const T div = h0_dtdx * (u[ip] - u[i]) + h0_dtdy * (v_n[i] - v[i]);
+        // Fluxes u*eta at faces: de-scale the interpolated eta (exact)
+        // so U * etabar carries scale s, not s^2.
+        const T fx_e = u[ip] * (inv_s * (half * (h[i] + h[ip])));
+        const T fx_w = u[i] * (inv_s * (half * (h[im] + h[i])));
+        const T fy_n = v_n[i] * (inv_s * (half * (h[i] + h_n[i])));
+        const T fy_s = v[i] * (inv_s * (half * (h_s[i] + h[i])));
+        deta[i] = -div - dtdx * (fx_e - fx_w) - dtdy * (fy_n - fy_s);
+      });
+    }
+  });
+}
+
+// The native types' passes, with their AVX2 and AVX-512F copies, are
+// compiled once, in rhs.cpp, rather than in every translation unit
+// that holds a model: three copies of them there took the full-tree
+// build's CPU time up by about a quarter.
+extern template class rhs_evaluator<double>;
+extern template class rhs_evaluator<float>;
+extern template class rhs_evaluator<double, slab<double>>;
+extern template class rhs_evaluator<float, slab<float>>;
 
 }  // namespace tfx::swm

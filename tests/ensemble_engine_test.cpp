@@ -252,10 +252,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
                        ::testing::Values(1u, 2u, 3u),
                        ::testing::Values(true, false)),
-    [](const auto& info) {
-      return "pool" + std::to_string(std::get<0>(info.param)) + "_order" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_batched" : "_oneatatime");
+    [](const auto& tp) {
+      return "pool" + std::to_string(std::get<0>(tp.param)) + "_order" +
+             std::to_string(std::get<1>(tp.param)) +
+             (std::get<2>(tp.param) ? "_batched" : "_oneatatime");
     });
 
 // Forced tiny tiles exercise the ragged tile split (members not

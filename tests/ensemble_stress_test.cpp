@@ -7,13 +7,6 @@
 // metric counters account for exactly its own member-steps, and
 // ens-domain job events carry the owning tenant's track.
 
-// The replacement operator new/delete below route through malloc/free;
-// GCC's heuristic cannot see that the pair matches and warns at every
-// inlined delete site in this translation unit.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -53,10 +46,17 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+// Out of line: inlined into a delete site, free() would take a pointer
+// from operator new there, which -Wmismatched-new-delete reports.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 
@@ -130,9 +130,9 @@ void run_oracle(const member_config& cfg, swm::state<double>& prog,
 
 void expect_state_bits(const swm::state<double>& got,
                        const swm::state<double>& want) {
-  for (const auto [g, w] : {std::pair{&got.u, &want.u},
-                            std::pair{&got.v, &want.v},
-                            std::pair{&got.eta, &want.eta}}) {
+  for (const auto& [g, w] : {std::pair{&got.u, &want.u},
+                             std::pair{&got.v, &want.v},
+                             std::pair{&got.eta, &want.eta}}) {
     const auto gf = g->flat();
     const auto wf = w->flat();
     ASSERT_EQ(gf.size(), wf.size());

@@ -7,13 +7,6 @@
 // used here. Also pins the allocation-freedom of the batched steady
 // state: after warm-up, batched dispatch touches no heap.
 
-// The replacement operator new/delete below route through malloc/free;
-// GCC's heuristic cannot see that the pair matches and warns at every
-// inlined delete site in this translation unit.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -46,10 +39,17 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+// Out of line: inlined into a delete site, free() would take a pointer
+// from operator new there, which -Wmismatched-new-delete reports.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 

@@ -17,13 +17,6 @@
 //     the same schedule run over shm, and crash schedules fail with
 //     the same typed errors.
 
-// The replacement operator new/delete below route through malloc/free;
-// GCC's heuristic cannot see that the pair matches and warns at every
-// inlined delete site in this translation unit.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,10 +57,17 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+// Out of line: inlined into a delete site, free() would take a pointer
+// from operator new there, which -Wmismatched-new-delete reports.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 
@@ -318,10 +318,10 @@ INSTANTIATE_TEST_SUITE_P(
                           std::pair<std::array<int, 3>, int>{{2, 1, 1}, 4},
                           std::pair<std::array<int, 3>, int>{{2, 2, 1}, 3},
                           std::pair<std::array<int, 3>, int>{{4, 2, 1}, 2})),
-    [](const auto& info) {
-      const auto& placement = std::get<1>(info.param);
+    [](const auto& tp) {
+      const auto& placement = std::get<1>(tp.param);
       return std::string(
-                 transport_manager::name_of(std::get<0>(info.param))) +
+                 transport_manager::name_of(std::get<0>(tp.param))) +
              "_n" +
              std::to_string(placement.first[0] * placement.first[1] *
                             placement.first[2]) +

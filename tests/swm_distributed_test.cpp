@@ -13,6 +13,7 @@
 
 #include "fp/float16.hpp"
 #include "fp/fpenv.hpp"
+#include "kernels/dispatch.hpp"
 #include "mpisim/runtime.hpp"
 #include "swm/distributed.hpp"
 #include "swm/model.hpp"
@@ -52,6 +53,9 @@ state<T> initial_state(const swm_params& p) {
 
 class DistributedRanks : public ::testing::TestWithParam<int> {};
 
+// The serial trajectory runs at the default width; the ranks run
+// eval_rhs's pass calls and the sweeps at every width, so the baseline,
+// AVX2 and AVX-512F copies (kernels/dispatch.hpp) are each held to it.
 TEST_P(DistributedRanks, BitEqualToSerialFloat64) {
   const int p = GetParam();
   const swm_params params = small_params();
@@ -62,20 +66,27 @@ TEST_P(DistributedRanks, BitEqualToSerialFloat64) {
   const auto serial =
       serial_trajectory<double>(params, steps, integration_scheme::standard);
 
-  mpisim::world w(p);
-  w.run([&](mpisim::communicator& comm) {
-    distributed_model<double> dm(comm, params);
-    dm.set_from_global(init);
-    dm.run(steps);
-    const auto global = dm.gather_global();
-    for (int j = 0; j < params.ny; ++j) {
-      for (int i = 0; i < params.nx; ++i) {
-        ASSERT_EQ(global.u(i, j), serial.u(i, j)) << i << "," << j;
-        ASSERT_EQ(global.v(i, j), serial.v(i, j)) << i << "," << j;
-        ASSERT_EQ(global.eta(i, j), serial.eta(i, j)) << i << "," << j;
+  for (const std::size_t width : {0, 128, 256, 512}) {
+    ASSERT_TRUE(kernels::set_simd_width(width));
+    mpisim::world w(p);
+    w.run([&](mpisim::communicator& comm) {
+      distributed_model<double> dm(comm, params);
+      dm.set_from_global(init);
+      dm.run(steps);
+      const auto global = dm.gather_global();
+      for (int j = 0; j < params.ny; ++j) {
+        for (int i = 0; i < params.nx; ++i) {
+          ASSERT_EQ(global.u(i, j), serial.u(i, j))
+              << "width " << width << ": " << i << "," << j;
+          ASSERT_EQ(global.v(i, j), serial.v(i, j))
+              << "width " << width << ": " << i << "," << j;
+          ASSERT_EQ(global.eta(i, j), serial.eta(i, j))
+              << "width " << width << ": " << i << "," << j;
+        }
       }
-    }
-  });
+    });
+  }
+  kernels::reset_simd_width();
 }
 
 TEST_P(DistributedRanks, CompensatedSchemeAlsoBitEqual) {

@@ -14,6 +14,7 @@
 #include "fp/float16.hpp"
 #include "fp/fpenv.hpp"
 #include "fp/sherlog.hpp"
+#include "kernels/dispatch.hpp"
 #include "swm/diagnostics.hpp"
 #include "swm/model.hpp"
 #include "swm/output.hpp"
@@ -458,15 +459,25 @@ constexpr golden_case golden_cases[] = {
 
 class SwmGolden : public ::testing::TestWithParam<golden_case> {};
 
+// Each width runs its own copy of the RHS passes and sweeps: the
+// baseline build's, and the AVX2 (256) and AVX-512F (512) copies on a
+// host that has them (kernels/dispatch.hpp). All must give the bits
+// recorded from the scalar loops.
 TEST_P(SwmGolden, TrajectoryMatchesRecordedHash) {
   const golden_case& c = GetParam();
-  for (const int threads : {1, 2}) {
-    const golden_hashes got = run_case(c, threads);
-    EXPECT_EQ(got.state, c.state_hash)
-        << "pool of " << threads << ": state 0x" << std::hex << got.state;
-    EXPECT_EQ(got.sink, c.sink_hash)
-        << "pool of " << threads << ": sink 0x" << std::hex << got.sink;
+  for (const std::size_t width : {0, 128, 256, 512}) {
+    ASSERT_TRUE(tfx::kernels::set_simd_width(width));
+    for (const int threads : {1, 2}) {
+      const golden_hashes got = run_case(c, threads);
+      EXPECT_EQ(got.state, c.state_hash)
+          << "width " << width << ", pool of " << threads << ": state 0x"
+          << std::hex << got.state;
+      EXPECT_EQ(got.sink, c.sink_hash)
+          << "width " << width << ", pool of " << threads << ": sink 0x"
+          << std::hex << got.sink;
+    }
   }
+  tfx::kernels::reset_simd_width();
 }
 
 INSTANTIATE_TEST_SUITE_P(
