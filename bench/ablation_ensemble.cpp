@@ -82,12 +82,13 @@ double run_batched(engine_options opts, int members, int steps) {
 }
 
 /// One-at-a-time mode: each member is submitted alone and drained to
-/// completion before the next is admitted — one member in flight.
+/// completion before the next is admitted — one member in flight. Its
+/// batched apply covers that member's three fields alone, the kernels
+/// its own step_apply() runs, in the same order.
 double run_one_at_a_time(engine_options opts, int members, int steps) {
   opts.async = false;
   opts.tile_members = 1;
   opts.stride = 1;
-  opts.batched_apply = false;
   engine eng(opts);
   const auto t0 = std::chrono::steady_clock::now();
   for (int m = 0; m < members; ++m) {

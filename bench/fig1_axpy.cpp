@@ -1,7 +1,6 @@
 // Figure 1: axpy GFLOPS vs vector length for Float16/Float32/Float64,
 // Julia's generic kernel vs Fujitsu BLAS, BLIS, OpenBLAS and ARMPL on
-// one A64FX core — now also sweeping the explicitly vectorized Vec*
-// backends (kernels/simd.hpp).
+// one A64FX core.
 //
 // Two instruments, as everywhere in this repo:
 //  * the modeled machine (arch::) supplies the A64FX numbers for every
@@ -9,10 +8,12 @@
 //  * host wall-clock times the generic kernel next to every modeled
 //    panel (Float16 included: the soft-float cost the model corrects
 //    for) and sweeps the real backends on the build machine —
-//    including a genuinely scalar (vectorization-disabled) reference
-//    and the libblastrampoline-style trampoline (§ III-A.1) — plus the
-//    dispatch overhead, the batched small-GEMM/axpy path vs looped
-//    single calls, and a host memory-roofline consistency check
+//    including a genuinely scalar (vectorization-disabled) reference,
+//    the explicit fixed-width kernel (kernels/simd.hpp) at each width
+//    of the runtime policy, and the libblastrampoline-style trampoline
+//    (§ III-A.1) — plus the dispatch overhead, the batched
+//    small-GEMM/axpy path vs looped single calls, and a host
+//    memory-roofline consistency check
 //    (docs/KERNELS.md#roofline-tolerance).
 //
 // Results go to a machine-readable JSON file (--json, default
@@ -36,6 +37,7 @@
 #include "kernels/dispatch.hpp"
 #include "kernels/generic.hpp"
 #include "kernels/registry.hpp"
+#include "kernels/simd.hpp"
 #include "kernels/stream.hpp"
 
 using namespace tfx;
@@ -49,13 +51,21 @@ namespace {
 
 /// A genuinely scalar axpy: vectorization disabled, so this is what
 /// "one element per instruction" costs on the host — the baseline the
-/// explicitly vectorized backends must beat.
+/// vectorized kernels must beat.
 template <typename T>
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-tree-vectorize,no-tree-slp-vectorize")))
 #endif
 void axpy_scalar_ref(T a, const T* x, T* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = a * x[i] + y[i];
+}
+
+/// The explicit fixed-width axpy at `bits`, on the host's ISA for that
+/// width (kernels::with_simd_width).
+template <typename T>
+void simd_axpy(std::size_t bits, T a, std::span<const T> x, std::span<T> y) {
+  kernels::with_simd_width(
+      bits, [&](auto w) { kernels::simd::axpy_fixed<w()>(a, x, y); });
 }
 
 /// Host wall-clock GFLOPS of `fn` performing one axpy pass of length n.
@@ -73,17 +83,16 @@ struct host_point {
   double modeled_gflops = 0;  ///< A64FX prediction for the same backend
 };
 
-/// Sweep the real backends (plus the scalar reference and the
-/// trampoline forwarding to Julia) at type T over fig1-style sizes;
-/// returns the measured+modeled points.
+/// Sweep the real backends (plus the scalar reference, the explicit
+/// kernel at each width and the trampoline forwarding to Julia) at type
+/// T over fig1-style sizes; returns the measured+modeled points.
 template <typename T>
 std::vector<host_point> host_sweep(const std::vector<std::size_t>& sizes) {
   auto& reg = kernels::blas_registry::instance();
   reg.set_current("Julia");
   const auto& machine = arch::fugaku_node;
   std::vector<host_point> out;
-  const char* const backends[] = {"Julia",  "FujitsuBLAS", "Vec128",
-                                  "Vec256", "Vec512"};
+  const char* const backends[] = {"Julia", "FujitsuBLAS"};
 
   for (const std::size_t n : sizes) {
     std::vector<T> x(n, T(1.5)), y(n, T(0.25));
@@ -111,6 +120,18 @@ std::vector<host_point> host_sweep(const std::vector<std::size_t>& sizes) {
       p.modeled_gflops =
           arch::predict(machine, profile, n, sizeof(T), 2 * n * sizeof(T))
               .gflops;
+      out.push_back(p);
+    }
+
+    // The explicit kernel is a host instrument, not one of the paper's
+    // libraries, so no personality models it.
+    for (const std::size_t bits :
+         {std::size_t{128}, std::size_t{256}, std::size_t{512}}) {
+      host_point p = scalar;
+      p.backend = "simd w" + std::to_string(bits);
+      p.host_gflops = host_axpy_gflops(n, [&] {
+        simd_axpy(bits, a, std::span<const T>(x), std::span<T>(y));
+      });
       out.push_back(p);
     }
 
@@ -230,18 +251,18 @@ struct roofline_check {
   double triad_gbs = 0;        ///< host triad bandwidth (3 streams)
   double scalar_gbs = 0;       ///< bandwidth implied by the scalar axpy
   double bound_gflops = 0;     ///< axpy roofline from the best probe
-  double measured_gflops = 0;  ///< Vec backend at the DRAM-resident size
+  double measured_gflops = 0;  ///< explicit kernel at the DRAM-resident size
   double ratio = 0;
   bool within = false;
 };
 
 /// At DRAM-resident sizes axpy is bandwidth-bound (2 flops per 24
-/// bytes of traffic), so the vectorized backend must land on the
-/// memory roofline — no higher, and not below it either, or the
-/// vector path is leaving bandwidth unused. The bound is derived from
-/// two probes with the identical traffic pattern — the scalar
-/// reference axpy and stream triad — taking the larger (either can be
-/// depressed by page placement on a shared host). Documented
+/// bytes of traffic), so the explicit kernel at the default width must
+/// land on the memory roofline — no higher, and not below it either,
+/// or the vector path is leaving bandwidth unused. The bound is
+/// derived from two probes with the identical traffic pattern — the
+/// scalar reference axpy and stream triad — taking the larger (either
+/// can be depressed by page placement on a shared host). Documented
 /// tolerance band: ratio in [0.5, 1.3] (docs/KERNELS.md).
 roofline_check host_roofline() {
   const std::size_t n = std::size_t{1} << 23;  // 64 MiB/array: DRAM
@@ -266,12 +287,11 @@ roofline_check host_roofline() {
   const double bw = r.triad_gbs > r.scalar_gbs ? r.triad_gbs : r.scalar_gbs;
   r.bound_gflops = bw / 12.0;  // 2 flops per 24 bytes
   {
-    auto& reg = kernels::blas_registry::instance();
-    const auto backend = reg.find(reg.preferred_vectorized());
+    const std::size_t bits = kernels::default_simd_width();
     const auto t = measure(
         [&] {
-          backend->axpy(0.999, std::span<const double>(x),
-                        std::span<double>(y));
+          simd_axpy(bits, 0.999, std::span<const double>(x),
+                    std::span<double>(y));
         },
         5);
     r.measured_gflops = gflops(2.0 * static_cast<double>(n), t.min());
@@ -282,7 +302,7 @@ roofline_check host_roofline() {
 }
 
 // ---------------------------------------------------------------------------
-// Modeled Fig. 1 panels (unchanged instrument, now with Vec* columns)
+// Modeled Fig. 1 panels
 // ---------------------------------------------------------------------------
 
 /// Host wall-clock GFLOPS of the generic axpy at type T.
@@ -381,11 +401,9 @@ int main(int argc, char** argv) {
   std::puts("The Float16 host column times the host's emulated half");
   std::puts("precision (every op widens to float and rounds back), far below");
   std::puts("float: the cost the model corrects for (DESIGN.md § 2).");
-  std::printf("Host: %s, preferred vectorized backend %s.\n",
+  std::printf("Host: %s, default SIMD width %zu bits.\n",
               std::string(arch::host_features().isa).c_str(),
-              std::string(
-                  kernels::blas_registry::instance().preferred_vectorized())
-                  .c_str());
+              kernels::default_simd_width());
 
   panel<float16>(max_log2);
   panel<float>(max_log2);
@@ -417,7 +435,6 @@ int main(int argc, char** argv) {
   const double overhead = dispatch_overhead_ns();
   std::printf("\ntrampoline dispatch overhead: %.1f ns/call\n", overhead);
 
-  kernels::blas_registry::instance().select_preferred_vectorized();
   table bt({"512 problems", "batched GF/s", "looped GF/s", "speedup"});
   const auto add_row = [&](std::string label, const batched_result& r) {
     bt.add_row({std::move(label), format_fixed(r.batched_gflops, 2),
@@ -444,7 +461,6 @@ int main(int argc, char** argv) {
       roof.triad_gbs, roof.scalar_gbs, roof.bound_gflops,
       roof.measured_gflops, roof.ratio,
       roof.within ? "within tolerance" : "OUT OF TOLERANCE");
-  kernels::blas_registry::instance().set_current("Julia");
 
   std::vector<bench_json::value> points;
   for (const auto* sweep : {&points64, &points32}) {
@@ -455,8 +471,6 @@ int main(int argc, char** argv) {
   doc.member("bench", string("kernels"))
       .member("host_isa", string(arch::host_features().isa))
       .member("default_simd_width", integer(kernels::default_simd_width()))
-      .member("preferred_backend",
-              string(kernels::blas_registry::instance().preferred_vectorized()))
       .member("dispatch_overhead_ns", fixed(overhead, 2))
       .rows("axpy", points)
       .member("batched_gemm_4x4x4", to_json(gemm[0], {}))

@@ -9,13 +9,13 @@
 ///    arch::a64fx_params and the roofline charge for (what the paper's
 ///    Fig. 1 measures), and
 ///  * the *host* width — whatever the build machine actually executes,
-///    which decides which fixed-width kernel backend
-///    (kernels/simd.hpp) is profitable to run for wall-clock numbers.
+///    which decides the width the fixed-width kernels
+///    (kernels/simd.hpp) run at for wall-clock numbers.
 ///
 /// This header answers the second question. Detection is done once
 /// (first call), is thread-safe, and degrades gracefully: on an
 /// unrecognized architecture the answer is the portable 128-bit
-/// minimum. Every fixed-width backend stays executable at every width:
+/// minimum. Every fixed-width kernel stays executable at every width:
 /// kernels::with_simd_width (kernels/dispatch.hpp) runs a width on the
 /// host's own ISA for it where `avx2` / `avx512f` below say there is
 /// one, and above the host's widest vectors the compiler synthesizes
@@ -38,7 +38,7 @@ struct cpu_features {
   bool f16c = false;
 
   /// Widest vector width (bits) the host can execute natively. One of
-  /// 128 / 256 / 512. The fixed-width backends remain *runnable* above
+  /// 128 / 256 / 512. The fixed-width kernels remain *runnable* above
   /// this (synthesized from narrower ops); up to it, with_simd_width
   /// runs them on the host's AVX2 / AVX-512F copies on x86-64.
   std::size_t max_vector_bits = 128;
@@ -50,9 +50,9 @@ struct cpu_features {
 /// The host's features, detected once and cached (thread-safe).
 const cpu_features& host_features();
 
-/// The widest fixed-width kernel backend worth selecting on this host:
-/// host_features().max_vector_bits clamped to the widths the simd layer
-/// instantiates (128/256/512).
+/// The widest kernel width worth running on this host, and so the width
+/// policy's default: host_features().max_vector_bits clamped to the
+/// widths the simd layer instantiates (128/256/512).
 std::size_t preferred_vector_bits();
 
 }  // namespace tfx::arch

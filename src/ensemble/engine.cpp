@@ -189,11 +189,10 @@ template <typename T, typename Tprog>
 class group_impl final : public group_base {
  public:
   group_impl(swm::integration_scheme scheme, fp::ftz_mode ftz,
-             std::size_t tile, bool batched_apply, int workers)
+             std::size_t tile, int workers)
       : scheme_(scheme),
         ftz_(ftz),
         tile_(tile),
-        batched_(batched_apply),
         items_(static_cast<std::size_t>(workers)) {}
 
   std::unique_ptr<built_member> build(
@@ -330,20 +329,14 @@ class group_impl final : public group_base {
     if (!any) return false;
 
     if constexpr (swm::model<T, Tprog>::batchable_apply) {
-      if (batched_) {
-        scratch.clear();
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (members_[i]->live) members_[i]->model->append_rk4_items(scratch);
-        }
-        if (scheme_ == swm::integration_scheme::compensated) {
-          kernels::sweeps::rk4_update_kahan_batched<Tprog>(scratch);
-        } else {
-          kernels::sweeps::rk4_update_batched<Tprog>(scratch);
-        }
+      scratch.clear();
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (members_[i]->live) members_[i]->model->append_rk4_items(scratch);
+      }
+      if (scheme_ == swm::integration_scheme::compensated) {
+        kernels::sweeps::rk4_update_kahan_batched<Tprog>(scratch);
       } else {
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (members_[i]->live) members_[i]->model->step_apply();
-        }
+        kernels::sweeps::rk4_update_batched<Tprog>(scratch);
       }
     } else {
       for (std::size_t i = lo; i < hi; ++i) {
@@ -737,7 +730,6 @@ class group_impl final : public group_base {
   swm::integration_scheme scheme_;
   fp::ftz_mode ftz_;
   std::size_t tile_;
-  bool batched_;
   std::vector<std::unique_ptr<member>> members_;
   std::vector<std::unique_ptr<member>> pending_;  ///< engine mutex only
   std::vector<batch_items> items_;  ///< per-worker apply scratch
@@ -1033,27 +1025,26 @@ struct engine::impl {
   std::unique_ptr<group_base> make_group(const member_config& cfg) const {
     using swm::integration_scheme;
     const std::size_t tile = tile_for(cfg);
-    const bool batched = opts.batched_apply;
     const int w = opts.threads;
     switch (cfg.prec) {
       case personality::float64:
         return std::make_unique<group_impl<double, double>>(
-            integration_scheme::standard, cfg.ftz, tile, batched, w);
+            integration_scheme::standard, cfg.ftz, tile, w);
       case personality::float64_comp:
         return std::make_unique<group_impl<double, double>>(
-            integration_scheme::compensated, cfg.ftz, tile, batched, w);
+            integration_scheme::compensated, cfg.ftz, tile, w);
       case personality::float32:
         return std::make_unique<group_impl<float, float>>(
-            integration_scheme::standard, cfg.ftz, tile, batched, w);
+            integration_scheme::standard, cfg.ftz, tile, w);
       case personality::float16:
         return std::make_unique<group_impl<fp::float16, fp::float16>>(
-            integration_scheme::compensated, cfg.ftz, tile, batched, w);
+            integration_scheme::compensated, cfg.ftz, tile, w);
       case personality::float16_mixed:
         return std::make_unique<group_impl<fp::float16, float>>(
-            integration_scheme::standard, cfg.ftz, tile, batched, w);
+            integration_scheme::standard, cfg.ftz, tile, w);
       case personality::bfloat16:
         return std::make_unique<group_impl<fp::bfloat16, fp::bfloat16>>(
-            integration_scheme::compensated, cfg.ftz, tile, batched, w);
+            integration_scheme::compensated, cfg.ftz, tile, w);
     }
     return nullptr;
   }

@@ -84,11 +84,6 @@ struct engine_options {
   /// next tile (temporal reuse vs cross-member fairness).
   int stride = 4;
 
-  /// Route native-type applies through the batched kernels. false is
-  /// the one-member-at-a-time ablation baseline
-  /// (bench/ablation_ensemble) — bit-identical, slower.
-  bool batched_apply = true;
-
   /// Members per tile, the most one claim holds; 0 prices it from
   /// `machine`'s L2 via kernels::problems_per_tile. A group smaller
   /// than threads x tile is cut into claims of ceil(members / threads)

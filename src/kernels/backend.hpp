@@ -30,7 +30,6 @@
 
 #include "arch/roofline.hpp"
 #include "fp/float16.hpp"
-#include "kernels/batched.hpp"
 
 namespace tfx::kernels {
 
@@ -71,67 +70,11 @@ class blas_backend {
   /// Throws unsupported_routine unless supports_float16().
   virtual void axpy(fp::float16 a, std::span<const fp::float16> x,
                     std::span<fp::float16> y) const = 0;
-
-  /// The host vector width (bits) this backend's kernels are written
-  /// at: 0 for backends whose loops are plain scalar code (whatever the
-  /// autovectorizer makes of them), 128/256/512 for the explicitly
-  /// vectorized Vec* backends (kernels/simd.hpp).
-  [[nodiscard]] virtual std::size_t vector_bits() const { return 0; }
-
-  /// Batched small-problem routines (kernels/batched.hpp layout:
-  /// `count` equal-shape problems back-to-back). Defaults run the
-  /// generic oracles — a loop of single-problem generic kernels — so
-  /// every backend supports the batched API; the Vec* backends override
-  /// with the fixed-width implementations. All overrides must be
-  /// bit-identical to the oracle for these native types
-  /// (docs/KERNELS.md).
-  virtual void axpy_batched(std::span<const double> a,
-                            std::span<const double> x, std::span<double> y,
-                            std::size_t n) const {
-    axpy_batched_generic(a, x, y, n);
-  }
-  virtual void axpy_batched(std::span<const float> a, std::span<const float> x,
-                            std::span<float> y, std::size_t n) const {
-    axpy_batched_generic(a, x, y, n);
-  }
-  virtual void dot_batched(std::span<const double> x,
-                           std::span<const double> y, std::span<double> out,
-                           std::size_t n) const {
-    dot_batched_generic(x, y, out, n);
-  }
-  virtual void dot_batched(std::span<const float> x, std::span<const float> y,
-                           std::span<float> out, std::size_t n) const {
-    dot_batched_generic(x, y, out, n);
-  }
-  virtual void gemm_batched(const gemm_batch_shape& s, double alpha,
-                            std::span<const double> a,
-                            std::span<const double> b, double beta,
-                            std::span<double> c) const {
-    gemm_batched_generic(s, alpha, a, b, beta, c);
-  }
-  virtual void gemm_batched(const gemm_batch_shape& s, float alpha,
-                            std::span<const float> a, std::span<const float> b,
-                            float beta, std::span<float> c) const {
-    gemm_batched_generic(s, alpha, a, b, beta, c);
-  }
 };
 
-/// Factories for the five personalities of the paper's Fig. 1.
-std::unique_ptr<blas_backend> make_generic_backend();   ///< "Julia"
-std::unique_ptr<blas_backend> make_fujitsu_backend();   ///< Fujitsu BLAS (SSL2)
-std::unique_ptr<blas_backend> make_blis_backend();      ///< BLIS 0.9.0
-std::unique_ptr<blas_backend> make_openblas_backend();  ///< OpenBLAS 0.3.20
-std::unique_ptr<blas_backend> make_armpl_backend();     ///< ARMPL 22.0.2
-
-/// The explicitly vectorized backends (kernels/simd.hpp) at a fixed
-/// host width; bits must be 128, 256 or 512. Named "Vec128" /
-/// "Vec256" / "Vec512". Unlike the binary-library personalities these
-/// support Float16 (the widened lane path) and override the batched
-/// routines with the fixed-width implementations.
-std::unique_ptr<blas_backend> make_vec_backend(std::size_t bits);
-
-/// All five paper personalities, in the order the paper's legend lists
-/// them, followed by the three Vec* fixed-width backends.
-std::vector<std::unique_ptr<blas_backend>> make_all_backends();
+/// The five personalities of the paper's Fig. 1, in the order its
+/// legend lists them: "Julia" (the generic kernel), "FujitsuBLAS"
+/// (SSL2), "BLIS" (0.9.0), "OpenBLAS" (0.3.20) and "ARMPL" (22.0.2).
+std::vector<std::shared_ptr<const blas_backend>> make_all_backends();
 
 }  // namespace tfx::kernels

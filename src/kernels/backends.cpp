@@ -2,10 +2,7 @@
 
 #include "core/contracts.hpp"
 #include "kernels/backend.hpp"
-#include "kernels/batched.hpp"
-#include "kernels/dispatch.hpp"
 #include "kernels/generic.hpp"
-#include "kernels/simd.hpp"
 
 namespace tfx::kernels {
 
@@ -229,140 +226,14 @@ class armpl_backend final : public backend_base {
   }
 };
 
-/// The explicitly vectorized backend at compile-time width Bits
-/// (kernels/simd.hpp): what the paper's generic-Julia story looks like
-/// when the full lane width is guaranteed by construction instead of
-/// left to the autovectorizer. Supports Float16 through the widened
-/// lane path, and overrides the batched routines with the fixed-width
-/// implementations. Every kernel runs through with_simd_width(Bits),
-/// so its packs run on the host's ISA for Bits (kernels/dispatch.hpp).
-template <std::size_t Bits>
-class vec_backend final : public blas_backend {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    if constexpr (Bits == 512) {
-      return "Vec512";
-    } else if constexpr (Bits == 256) {
-      return "Vec256";
-    } else {
-      return "Vec128";
-    }
-  }
-  [[nodiscard]] bool supports_float16() const override { return true; }
-  [[nodiscard]] std::size_t vector_bits() const override { return Bits; }
-
-  [[nodiscard]] arch::kernel_profile axpy_profile(
-      std::size_t /*elem_bytes*/) const override {
-    arch::kernel_profile p;
-    p.name = Bits == 512   ? "axpy/vec512"
-             : Bits == 256 ? "axpy/vec256"
-                           : "axpy/vec128";
-    // Hand-blocked fixed-width loop: the lanes are guaranteed, the
-    // 4x unroll hides the FMA latency, and there is no library entry
-    // glue — marginally better schedule than the autovectorized
-    // generic kernel, at the width the template pins.
-    p.vector_bits = static_cast<std::size_t>(Bits);
-    p.simd_efficiency = 0.97;
-    p.loop_overhead_cycles = 0.25;
-    p.call_overhead_ns = 6.0;
-    return p;
-  }
-
-  void axpy(double a, std::span<const double> x,
-            std::span<double> y) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::axpy_fixed<bits()>(a, x, y);
-    });
-  }
-  void axpy(float a, std::span<const float> x,
-            std::span<float> y) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::axpy_fixed<bits()>(a, x, y);
-    });
-  }
-  void axpy(fp::float16 a, std::span<const fp::float16> x,
-            std::span<fp::float16> y) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::axpy_widened<bits()>(a, x, y);
-    });
-  }
-
-  void axpy_batched(std::span<const double> a, std::span<const double> x,
-                    std::span<double> y, std::size_t n) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::axpy_batched_fixed<bits()>(a, x, y, n);
-    });
-  }
-  void axpy_batched(std::span<const float> a, std::span<const float> x,
-                    std::span<float> y, std::size_t n) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::axpy_batched_fixed<bits()>(a, x, y, n);
-    });
-  }
-  void dot_batched(std::span<const double> x, std::span<const double> y,
-                   std::span<double> out, std::size_t n) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::dot_batched_fixed<bits()>(x, y, out, n);
-    });
-  }
-  void dot_batched(std::span<const float> x, std::span<const float> y,
-                   std::span<float> out, std::size_t n) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::dot_batched_fixed<bits()>(x, y, out, n);
-    });
-  }
-  void gemm_batched(const gemm_batch_shape& s, double alpha,
-                    std::span<const double> a, std::span<const double> b,
-                    double beta, std::span<double> c) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::gemm_batched_fixed<bits()>(s, alpha, a, b, beta, c);
-    });
-  }
-  void gemm_batched(const gemm_batch_shape& s, float alpha,
-                    std::span<const float> a, std::span<const float> b,
-                    float beta, std::span<float> c) const override {
-    with_simd_width(Bits, [&](auto bits) {
-      simd::gemm_batched_fixed<bits()>(s, alpha, a, b, beta, c);
-    });
-  }
-};
-
 }  // namespace
 
-std::unique_ptr<blas_backend> make_generic_backend() {
-  return std::make_unique<generic_backend>();
-}
-std::unique_ptr<blas_backend> make_fujitsu_backend() {
-  return std::make_unique<fujitsu_backend>();
-}
-std::unique_ptr<blas_backend> make_blis_backend() {
-  return std::make_unique<blis_backend>();
-}
-std::unique_ptr<blas_backend> make_openblas_backend() {
-  return std::make_unique<openblas_backend>();
-}
-std::unique_ptr<blas_backend> make_armpl_backend() {
-  return std::make_unique<armpl_backend>();
-}
-
-std::unique_ptr<blas_backend> make_vec_backend(std::size_t bits) {
-  TFX_EXPECTS(simd::valid_width(bits));
-  if (bits == 512) return std::make_unique<vec_backend<512>>();
-  if (bits == 256) return std::make_unique<vec_backend<256>>();
-  return std::make_unique<vec_backend<128>>();
-}
-
-std::vector<std::unique_ptr<blas_backend>> make_all_backends() {
-  std::vector<std::unique_ptr<blas_backend>> all;
-  all.push_back(make_generic_backend());
-  all.push_back(make_fujitsu_backend());
-  all.push_back(make_blis_backend());
-  all.push_back(make_openblas_backend());
-  all.push_back(make_armpl_backend());
-  for (const std::size_t bits : simd::width_list) {
-    all.push_back(make_vec_backend(bits));
-  }
-  return all;
+std::vector<std::shared_ptr<const blas_backend>> make_all_backends() {
+  return {std::make_shared<generic_backend>(),
+          std::make_shared<fujitsu_backend>(),
+          std::make_shared<blis_backend>(),
+          std::make_shared<openblas_backend>(),
+          std::make_shared<armpl_backend>()};
 }
 
 }  // namespace tfx::kernels

@@ -10,7 +10,7 @@
 /// sizes the virtual dispatch, span plumbing and loop prologue cost as
 /// much as the arithmetic. The batched entry points take the whole
 /// family of problems at once — one dispatch, one prologue, and an
-/// inner structure the fixed-width backends (simd.hpp) can keep
+/// inner structure the fixed-width kernels (simd.hpp) can keep
 /// vectorized across problem boundaries.
 ///
 /// Layout contract: a batch is `count` problems of identical shape
@@ -78,7 +78,7 @@ struct gemm_batch_shape {
 
 // ---------------------------------------------------------------------------
 // Generic oracles: a loop of single-problem generic kernels. These are
-// the semantics every backend implementation must reproduce.
+// the semantics every fixed-width implementation must reproduce.
 // ---------------------------------------------------------------------------
 
 /// y_b <- a_b * x_b + y_b for each of count problems of length n.
@@ -135,8 +135,8 @@ namespace simd {
 /// cross-element accumulation, so the whole batch is ONE flat axpy per
 /// distinct coefficient run — but coefficients differ per problem, so
 /// we vectorize within each problem and keep the loop over problems
-/// free of dispatch (that is the entire win at n ≲ 32: one virtual
-/// call, one prologue, `count` tight loops).
+/// free of dispatch (that is the entire win at n ≲ 32: one dispatch,
+/// one prologue, `count` tight loops).
 template <std::size_t Bits, typename T>
 void axpy_batched_fixed(std::span<const T> a, std::span<const T> x,
                         std::span<T> y, std::size_t n) {

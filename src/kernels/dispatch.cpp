@@ -18,16 +18,7 @@ std::atomic<std::size_t>& width_policy() {
 
 }  // namespace
 
-std::size_t default_simd_width() {
-#ifdef TFX_SIMD_WIDTH
-  static_assert(TFX_SIMD_WIDTH == 0 || TFX_SIMD_WIDTH == 128 ||
-                    TFX_SIMD_WIDTH == 256 || TFX_SIMD_WIDTH == 512,
-                "TFX_SIMD_WIDTH must be 0, 128, 256 or 512");
-  return TFX_SIMD_WIDTH;
-#else
-  return arch::preferred_vector_bits();
-#endif
-}
+std::size_t default_simd_width() { return arch::preferred_vector_bits(); }
 
 std::size_t simd_width() {
   return width_policy().load(std::memory_order_relaxed);

@@ -4,16 +4,13 @@
 /// Runtime width policy and the dispatched entry points that tie the
 /// fixed-width SIMD layer (simd.hpp, batched.hpp) to callers.
 ///
-/// Two independent runtime choices exist:
-///
-///  * which *backend* the trampoline forwards to (registry.hpp — the
-///    libblastrampoline analogue, selectable by name), and
-///  * which *vector width* the width-generic entry points below run at
-///    (this file). The policy is a single atomic: initialized once from
-///    the host's CPU features (arch::preferred_vector_bits(), or the
-///    TFX_SIMD_WIDTH build override), readable from any thread, and
-///    hot-swappable under load — concurrent sweeps simply pick up the
-///    new width on their next call, exactly like a trampoline retarget.
+/// The policy is the one control over the vector width a kernel runs
+/// at: a single atomic, initialized once to the widest width the host
+/// executes natively (arch::preferred_vector_bits()), readable from any
+/// thread, and hot-swappable under load — concurrent sweeps simply pick
+/// up the new width on their next call, exactly like a trampoline
+/// retarget. (The BLAS registry, registry.hpp, picks a library by name
+/// for axpy_dispatch; it has no say over the width.)
 ///
 /// Width 0 means "scalar": the generic kernels run unvectorized. Every
 /// nonzero width produces bit-identical results for element-wise
@@ -35,7 +32,6 @@
 #include "arch/features.hpp"
 #include "fp/traits.hpp"
 #include "kernels/batched.hpp"
-#include "kernels/registry.hpp"
 
 namespace tfx::kernels {
 
@@ -47,8 +43,8 @@ namespace tfx::kernels {
 /// of 0/128/256/512. Safe under load from any thread.
 bool set_simd_width(std::size_t bits);
 
-/// The width the policy starts at: the TFX_SIMD_WIDTH build override
-/// if set, else the widest the host executes natively.
+/// The width the policy starts at: the widest the host executes
+/// natively.
 [[nodiscard]] std::size_t default_simd_width();
 
 /// Reset the policy to default_simd_width().
@@ -117,55 +113,61 @@ decltype(auto) with_simd_width(std::size_t bits, F&& f) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched trampolines. double/float forward to the *selected backend*
-// (registry), so the batched path hot-swaps with set_current like the
-// single-call path; soft-float and analysis types route by
-// fp::vec_traits — widened types vectorize at the policy width, scalar
-// types run the generic oracle.
+// Batched entry points, routed by the width policy as the sweeps are
+// (sweeps.hpp): native types run the fixed-width kernels at
+// simd_width(), widened types vectorize axpy at that width, and scalar
+// types and width 0 run the generic oracles.
 // ---------------------------------------------------------------------------
 
 template <typename T>
 void axpy_batched_dispatch(std::span<const T> a, std::span<const T> x,
                            std::span<T> y, std::size_t n) {
-  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, float>) {
-    blas_registry::instance().current()->axpy_batched(a, x, y, n);
-  } else if constexpr (fp::vec_traits<T>::kind ==
-                       fp::vectorizability::widened) {
-    const std::size_t w = simd_width();
-    if (w == 0) {
-      axpy_batched_generic(a, x, y, n);
-    } else {
+  constexpr auto kind = fp::vec_traits<T>::kind;
+  if constexpr (kind != fp::vectorizability::scalar) {
+    if (const std::size_t w = simd_width(); w != 0) {
       with_simd_width(w, [&](auto bits) {
-        for (std::size_t b = 0; b < a.size(); ++b) {
-          simd::axpy_widened<bits(), T>(a[b], x.subspan(b * n, n),
-                                        y.subspan(b * n, n));
+        if constexpr (kind == fp::vectorizability::native) {
+          simd::axpy_batched_fixed<bits(), T>(a, x, y, n);
+        } else {
+          for (std::size_t b = 0; b < a.size(); ++b) {
+            simd::axpy_widened<bits(), T>(a[b], x.subspan(b * n, n),
+                                          y.subspan(b * n, n));
+          }
         }
       });
+      return;
     }
-  } else {
-    axpy_batched_generic(a, x, y, n);
   }
+  axpy_batched_generic(a, x, y, n);
 }
 
 template <typename T>
 void dot_batched_dispatch(std::span<const T> x, std::span<const T> y,
                           std::span<T> out, std::size_t n) {
-  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, float>) {
-    blas_registry::instance().current()->dot_batched(x, y, out, n);
-  } else {
-    dot_batched_generic(x, y, out, n);
+  if constexpr (fp::vec_traits<T>::kind == fp::vectorizability::native) {
+    if (const std::size_t w = simd_width(); w != 0) {
+      with_simd_width(w, [&](auto bits) {
+        simd::dot_batched_fixed<bits(), T>(x, y, out, n);
+      });
+      return;
+    }
   }
+  dot_batched_generic(x, y, out, n);
 }
 
 template <typename T>
 void gemm_batched_dispatch(const gemm_batch_shape& s, T alpha,
                            std::span<const T> a, std::span<const T> b, T beta,
                            std::span<T> c) {
-  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, float>) {
-    blas_registry::instance().current()->gemm_batched(s, alpha, a, b, beta, c);
-  } else {
-    gemm_batched_generic(s, alpha, a, b, beta, c);
+  if constexpr (fp::vec_traits<T>::kind == fp::vectorizability::native) {
+    if (const std::size_t w = simd_width(); w != 0) {
+      with_simd_width(w, [&](auto bits) {
+        simd::gemm_batched_fixed<bits(), T>(s, alpha, a, b, beta, c);
+      });
+      return;
+    }
   }
+  gemm_batched_generic(s, alpha, a, b, beta, c);
 }
 
 }  // namespace tfx::kernels

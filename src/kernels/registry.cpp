@@ -1,38 +1,18 @@
 #include "kernels/registry.hpp"
 
-#include "arch/features.hpp"
-#include "core/contracts.hpp"
-
 namespace tfx::kernels {
 
-blas_registry::blas_registry() {
-  for (auto& backend : make_all_backends()) {
-    backends_.emplace_back(std::move(backend));
-  }
-  // The paper's default remains the generic kernel ("Julia"); the
-  // host's preferred Vec* backend is probed here (preferred_vectorized)
-  // and one select_preferred_vectorized() away.
-  current_.store(backends_.front().get(), std::memory_order_release);
-}
+// The paper's default is the generic kernel ("Julia"), first in the
+// table.
+blas_registry::blas_registry()
+    : backends_(make_all_backends()), current_(backends_.front().get()) {}
 
 blas_registry& blas_registry::instance() {
   static blas_registry registry;
   return registry;
 }
 
-bool blas_registry::register_backend(
-    std::shared_ptr<const blas_backend> backend) {
-  TFX_EXPECTS(backend != nullptr);
-  const std::scoped_lock lock(mutex_);
-  for (const auto& existing : backends_) {
-    if (existing->name() == backend->name()) return false;
-  }
-  backends_.push_back(std::move(backend));
-  return true;
-}
-
 bool blas_registry::set_current(std::string_view name) {
-  const std::scoped_lock lock(mutex_);
   for (const auto& backend : backends_) {
     if (backend->name() == name) {
       current_.store(backend.get(), std::memory_order_release);
@@ -43,7 +23,7 @@ bool blas_registry::set_current(std::string_view name) {
 }
 
 std::shared_ptr<const blas_backend> blas_registry::current() const {
-  // Non-owning alias: backends_ never shrinks, so the raw pointer is
+  // Non-owning alias: backends_ never changes, so the raw pointer is
   // valid for the registry's lifetime and the hot path stays a single
   // lock-free atomic load (std::atomic<shared_ptr> would be the
   // natural fit, but libstdc++'s implementation is a spinlock protocol
@@ -52,24 +32,8 @@ std::shared_ptr<const blas_backend> blas_registry::current() const {
           current_.load(std::memory_order_acquire)};
 }
 
-std::string_view blas_registry::preferred_vectorized() const {
-  switch (arch::preferred_vector_bits()) {
-    case 512:
-      return "Vec512";
-    case 256:
-      return "Vec256";
-    default:
-      return "Vec128";
-  }
-}
-
-bool blas_registry::select_preferred_vectorized() {
-  return set_current(preferred_vectorized());
-}
-
 std::shared_ptr<const blas_backend> blas_registry::find(
     std::string_view name) const {
-  const std::scoped_lock lock(mutex_);
   for (const auto& backend : backends_) {
     if (backend->name() == name) return backend;
   }
@@ -77,7 +41,6 @@ std::shared_ptr<const blas_backend> blas_registry::find(
 }
 
 std::vector<std::string_view> blas_registry::names() const {
-  const std::scoped_lock lock(mutex_);
   std::vector<std::string_view> out;
   out.reserve(backends_.size());
   for (const auto& backend : backends_) out.push_back(backend->name());

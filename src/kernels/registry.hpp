@@ -7,27 +7,23 @@
 /// PLT trampolines to forward BLAS calls to a chosen library at runtime
 /// with near-zero overhead [...], without having to recompile an
 /// application to link to a different BLAS library" (§ III-A.1).
-/// `blas_registry` provides the same contract: register backends once,
-/// point `set_current` at one of them, and every call through the
-/// forwarding functions lands in the selected library. The forwarding
-/// cost is one atomic pointer load + one virtual call — backends are
-/// never destroyed while the registry lives (backends_ only grows), so
+/// `blas_registry` provides the same contract: the five Fig. 1
+/// libraries are built once with the registry, `set_current` points
+/// the trampoline at one of them by name, and every call through the
+/// forwarding functions lands in the selected library. The table never
+/// changes after construction, so lookups read it without a lock, and
 /// the current selection is a plain `std::atomic<const blas_backend*>`:
+/// the forwarding cost is one atomic pointer load + one virtual call,
 /// genuinely lock-free, and retargeting under load
 /// (tests/kernels_hotswap_test runs it under TSan) never stalls the
-/// hot path;
-/// `bench/ablation_trampoline` measures that it is negligible against
-/// the routine itself.
+/// hot path; `bench/fig1_axpy`'s trampoline row measures that it is
+/// negligible against the routine itself.
 ///
-/// Besides the five paper personalities the registry carries the
-/// explicitly vectorized fixed-width backends (Vec128/Vec256/Vec512,
-/// kernels/simd.hpp); `preferred_vectorized()` names the widest one the
-/// host CPU executes natively (arch::host_features(), probed once at
-/// startup), and `select_preferred_vectorized()` retargets to it.
+/// The registry picks a library, not a vector width: the runtime width
+/// policy (kernels/dispatch.hpp) is the one width control.
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -38,44 +34,31 @@ namespace tfx::kernels {
 
 class blas_registry {
  public:
-  /// The process-wide registry, pre-populated with the five paper
-  /// backends and defaulting to the generic one.
+  /// The process-wide registry, holding the five paper backends and
+  /// defaulting to the generic one.
   static blas_registry& instance();
-
-  /// Add a backend; its name must be unique. Returns false on a
-  /// duplicate name (the registration is dropped).
-  bool register_backend(std::shared_ptr<const blas_backend> backend);
 
   /// Select the forwarding target by name; false if unknown.
   bool set_current(std::string_view name);
 
   /// The currently selected backend (never null). Lock-free: one
   /// atomic pointer load. The returned shared_ptr is non-owning
-  /// (aliased to the registry, which keeps every registered backend
-  /// alive for its whole lifetime).
+  /// (aliased to the registry, which keeps every backend alive for its
+  /// whole lifetime).
   [[nodiscard]] std::shared_ptr<const blas_backend> current() const;
-
-  /// The widest Vec* backend the host executes natively — the backend
-  /// runtime CPU-feature dispatch would pick ("Vec512" on AVX-512 or
-  /// 512-bit SVE hosts, "Vec128" on baseline).
-  [[nodiscard]] std::string_view preferred_vectorized() const;
-
-  /// set_current(preferred_vectorized()).
-  bool select_preferred_vectorized();
 
   /// Look a backend up by name without selecting it; null if unknown.
   [[nodiscard]] std::shared_ptr<const blas_backend> find(
       std::string_view name) const;
 
-  /// Names in registration order.
+  /// Names in the order the paper's legend lists them.
   [[nodiscard]] std::vector<std::string_view> names() const;
 
  private:
   blas_registry();
 
-  mutable std::mutex mutex_;  ///< guards backends_ only
-  std::vector<std::shared_ptr<const blas_backend>> backends_;
-  std::atomic<const blas_backend*> current_{nullptr};
+  const std::vector<std::shared_ptr<const blas_backend>> backends_;
+  std::atomic<const blas_backend*> current_;
 };
 
 /// Forwarding entry points ("the trampoline"): call whatever backend is

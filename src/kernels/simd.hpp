@@ -13,8 +13,8 @@
 /// ISA when needed), and the kernels below are hand-blocked over it at
 /// compile-time widths of 128/256/512 bits. Which width actually runs
 /// is a *runtime* decision (kernels/dispatch.hpp), made from CPU
-/// features at registry init and hot-swappable under load, exactly like
-/// the paper's libblastrampoline seam.
+/// features at startup and hot-swappable under load, exactly like the
+/// paper's libblastrampoline seam.
 ///
 /// Numerical contracts (docs/KERNELS.md):
 ///  * element-wise kernels (axpy, scal, the SWM sweep kernels) perform

@@ -455,9 +455,14 @@ bool recovery_board::complete_round(std::uint64_t generation) {
     // Exactly one finisher finalizes; deaths reported after the round
     // filled (generation already moved on) stay queued for the next
     // round because the finalized_ marker keeps this branch single-shot.
+    // The bump retires the round's filled phase slots: a survivor that
+    // begins the next round before its casualty reports must wait at
+    // barrier 0, not pass it on this round's counts.
     finalized_ = generation + 1;
     dead_.clear();
     pending_ = false;
+    ++generation_;
+    changed_.notify_all();
   }
   return ok;
 }

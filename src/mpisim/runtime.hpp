@@ -131,19 +131,24 @@ void waitall(std::span<request> requests);
 /// any recovery messaging starts. Pure coordination: the board carries
 /// no payload data and no virtual time.
 ///
-/// A *generation* counts death reports. Every recovery round is keyed
-/// to the generation it started under; the round's phase barriers
-/// abort as soon as another death bumps the generation, so a round can
-/// never complete with a stale view of the casualty set. A completed
-/// barrier stays completed: `arrive` checks the success clause before
-/// the abort clause, so a generation bump that lands after the last
-/// arrival cannot retroactively fail the round.
+/// A *generation* counts death reports and completed rounds. Every
+/// recovery round is keyed to the generation it started under; the
+/// round's phase barriers abort as soon as another death bumps the
+/// generation, so a round can never complete with a stale view of the
+/// casualty set. A completed barrier stays completed: `arrive` checks
+/// the success clause before the abort clause, so a generation bump
+/// that lands after the last arrival cannot retroactively fail the
+/// round.
 ///
 /// Safety argument for the abortable barriers: a barrier at generation
 /// g expects all `ranks` arrivals *including* any rank about to report
 /// a death - and `report_death` bumps the generation *before* that
 /// rank can arrive. A stale barrier therefore never sees more than
-/// ranks-1 arrivals and cannot complete.
+/// ranks-1 arrivals and cannot complete. A completed round bumps the
+/// generation too, so its filled phase slots belong to a generation no
+/// later round starts under: a survivor that begins the next round
+/// before the casualty reports waits at barrier 0 until the report
+/// aborts it, instead of passing on the old counts.
 class recovery_board {
  public:
   struct round_info {
@@ -171,8 +176,9 @@ class recovery_board {
   [[nodiscard]] bool arrive(int phase, std::uint64_t generation);
 
   /// Final barrier of a round; on success the first finisher clears
-  /// the casualty set and the pending flag (exactly once, so deaths
-  /// reported immediately after are preserved for the next round).
+  /// the casualty set and the pending flag and bumps the generation
+  /// (exactly once, so deaths reported immediately after are preserved
+  /// for the next round).
   [[nodiscard]] bool complete_round(std::uint64_t generation);
 
   /// Block until the generation exceeds `generation` (used before

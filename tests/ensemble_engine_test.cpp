@@ -215,8 +215,11 @@ void check_suite_against_oracle(engine& eng,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Determinism: pool sizes x submission orders x batching mode. Every
-// combination must reproduce the oracle bits for every member.
+// Determinism: pool sizes x submission orders x tiling. "batched" runs
+// the L2-priced tiles; "oneatatime" claims one member at a time (tile 1,
+// stride 1: bench/ablation_ensemble's baseline schedule), so each
+// batched apply covers a single member's fields. Every combination must
+// reproduce the oracle bits for every member.
 // ---------------------------------------------------------------------------
 
 class EnsembleDeterminism
@@ -232,7 +235,10 @@ TEST_P(EnsembleDeterminism, MembersMatchStandaloneOracleBitwise) {
   engine_options opts;
   opts.threads = threads;
   opts.async = false;
-  opts.batched_apply = batched;
+  if (!batched) {
+    opts.tile_members = 1;
+    opts.stride = 1;
+  }
   engine eng(opts);
 
   std::vector<job_id> ids;

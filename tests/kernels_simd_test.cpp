@@ -3,7 +3,7 @@
 // bit-identity of every fixed width against the scalar oracles, the
 // pinned muladd contract, the documented dot reduction tree, the
 // batched kernels against their generic oracles, and the runtime width
-// policy.
+// policy the batched entry points follow.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +17,9 @@
 #include "fp/bfloat16.hpp"
 #include "fp/float16.hpp"
 #include "fp/traits.hpp"
-#include "kernels/backend.hpp"
 #include "kernels/batched.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/generic.hpp"
-#include "kernels/registry.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/sweeps.hpp"
 
@@ -439,7 +437,7 @@ TEST(Sweeps, CombineAndConvertBitIdentical) {
   kernels::reset_simd_width();
 }
 
-// ---- width policy and registry integration ---------------------------
+// ---- width policy ----------------------------------------------------
 
 TEST(WidthPolicy, ValidatesAndResets) {
   EXPECT_FALSE(kernels::set_simd_width(64));
@@ -450,9 +448,7 @@ TEST(WidthPolicy, ValidatesAndResets) {
   EXPECT_EQ(kernels::simd_width(), 0u);
   kernels::reset_simd_width();
   EXPECT_EQ(kernels::simd_width(), kernels::default_simd_width());
-#ifndef TFX_SIMD_WIDTH
   EXPECT_EQ(kernels::default_simd_width(), arch::preferred_vector_bits());
-#endif
 }
 
 TEST(WidthPolicy, HostFeatureDetectionIsConsistent) {
@@ -464,69 +460,38 @@ TEST(WidthPolicy, HostFeatureDetectionIsConsistent) {
   EXPECT_TRUE(kernels::simd::valid_width(pref));
 }
 
-TEST(VecBackends, RegisteredAndSelectable) {
-  auto& reg = kernels::blas_registry::instance();
-  for (const char* name : {"Vec128", "Vec256", "Vec512"}) {
-    const auto backend = reg.find(name);
-    ASSERT_NE(backend, nullptr) << name;
-    EXPECT_TRUE(backend->supports_float16());
-    EXPECT_TRUE(kernels::simd::valid_width(backend->vector_bits()));
+TEST(WidthPolicy, BatchedDispatchRunsAtThePolicyWidth) {
+  // The batched entry points read the width policy and nothing else:
+  // at every width, axpy reproduces the generic oracle bit-for-bit and
+  // dot runs that width's documented reduction tree (the sequential
+  // oracle at width 0).
+  const std::size_t count = 4, len = 37;
+  const auto a = random_vec<double>(count, 91);
+  const auto x = random_vec<double>(count * len, 92);
+  const auto y0 = random_vec<double>(count * len, 93);
+  auto y_ref = y0;
+  kernels::axpy_batched_generic<double>(a, x, y_ref, len);
+  for (const std::size_t w : {std::size_t{0}, std::size_t{128},
+                              std::size_t{256}, std::size_t{512}}) {
+    ASSERT_TRUE(kernels::set_simd_width(w));
+    auto y = y0;
+    kernels::axpy_batched_dispatch<double>(a, x, y, len);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      EXPECT_EQ(y[i], y_ref[i]) << "w=" << w << " i=" << i;
+    }
+
+    std::vector<double> dots(count), want(count);
+    kernels::dot_batched_dispatch<double>(x, y0, dots, len);
+    if (w == 0) {
+      kernels::dot_batched_generic<double>(x, y0, want, len);
+    } else {
+      at_width(w, [&](auto bits) {
+        kernels::simd::dot_batched_fixed<bits(), double>(x, y0, want, len);
+      });
+    }
+    for (std::size_t b = 0; b < count; ++b) {
+      EXPECT_EQ(dots[b], want[b]) << "w=" << w << " b=" << b;
+    }
   }
-  // Runtime CPU-feature choice: the preferred backend matches the
-  // probed host width and is selectable.
-  const auto preferred = reg.preferred_vectorized();
-  const auto backend = reg.find(preferred);
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->vector_bits(), arch::preferred_vector_bits());
-  ASSERT_TRUE(reg.select_preferred_vectorized());
-  EXPECT_EQ(reg.current()->name(), preferred);
-  ASSERT_TRUE(reg.set_current("Julia"));
-}
-
-TEST(VecBackends, AxpyAndBatchedMatchGeneric) {
-  auto& reg = kernels::blas_registry::instance();
-  const std::size_t n = 257;
-  for (const char* name : {"Vec128", "Vec256", "Vec512"}) {
-    const auto backend = reg.find(name);
-    ASSERT_NE(backend, nullptr);
-    const auto x = random_vec<double>(n, 91);
-    auto y = random_vec<double>(n, 92);
-    auto y_ref = y;
-    backend->axpy(1.5, std::span<const double>(x), std::span<double>(y));
-    kernels::axpy<double>(1.5, x, y_ref);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(y[i], y_ref[i]);
-
-    // Float16 through the backend (only Julia and Vec* support it).
-    std::vector<float16> hx{float16(1.5)}, hy{float16(0.25)};
-    backend->axpy(float16(2.0), std::span<const float16>(hx),
-                  std::span<float16>(hy));
-    EXPECT_EQ(static_cast<double>(hy[0]), 3.25);
-
-    // Batched through the registry trampoline.
-    ASSERT_TRUE(reg.set_current(name));
-    const std::size_t count = 4, len = 21;
-    const auto ba = random_vec<double>(count, 93);
-    const auto bx = random_vec<double>(count * len, 94);
-    auto by = random_vec<double>(count * len, 95);
-    auto by_ref = by;
-    kernels::axpy_batched_dispatch<double>(ba, bx, by, len);
-    kernels::axpy_batched_generic<double>(ba, bx, by_ref, len);
-    for (std::size_t i = 0; i < by.size(); ++i) EXPECT_EQ(by[i], by_ref[i]);
-  }
-  ASSERT_TRUE(reg.set_current("Julia"));
-}
-
-TEST(VecBackends, ProfilesCoverAllWidths) {
-  auto& reg = kernels::blas_registry::instance();
-  for (const auto& [name, bits] :
-       {std::pair<const char*, std::size_t>{"Vec128", 128},
-        {"Vec256", 256},
-        {"Vec512", 512}}) {
-    const auto backend = reg.find(name);
-    ASSERT_NE(backend, nullptr);
-    const auto p = backend->axpy_profile(8);
-    EXPECT_EQ(p.vector_bits, bits);
-    EXPECT_GT(p.simd_efficiency, 0.9);
-    EXPECT_EQ(backend->vector_bits(), bits);
-  }
+  kernels::reset_simd_width();
 }

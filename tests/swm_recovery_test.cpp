@@ -24,12 +24,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <new>
 #include <span>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -331,6 +333,39 @@ TEST(Recovery, CrashDuringRecoveryRound) {
                         r.report.casualties.end(), 3),
               r.report.casualties.end());
   }
+}
+
+// A survivor can see the next crash notice before the casualty calls
+// report_death. The round it then begins must not pass barrier 0 on
+// the counts the previous round left in the phase slots: it has to wait
+// until the report aborts it.
+TEST(RecoveryBoard, NextRoundWaitsForTheCasualtysReport) {
+  mpisim::recovery_board board;
+  board.reset(2);
+  board.report_death(1);
+  auto run_round = [&board] {
+    const auto round = board.begin_round();
+    EXPECT_TRUE(board.arrive(0, round.generation));
+    EXPECT_TRUE(board.arrive(1, round.generation));
+    EXPECT_TRUE(board.complete_round(round.generation));
+  };
+  std::thread peer(run_round);
+  run_round();
+  peer.join();
+
+  const auto next = board.begin_round();
+  EXPECT_TRUE(next.dead.empty());
+  std::atomic<bool> reported{false};
+  std::thread reporter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    reported.store(true);
+    board.report_death(1);
+  });
+  EXPECT_FALSE(board.arrive(0, next.generation));
+  EXPECT_TRUE(reported.load()) << "barrier 0 returned before the report";
+  reporter.join();
+  const auto retry = board.begin_round();
+  EXPECT_EQ(retry.dead, std::vector<int>{1});
 }
 
 TEST(Recovery, BuddyPairDeathIsUnrecoverableNotAHang) {
